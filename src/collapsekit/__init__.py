@@ -77,6 +77,7 @@ from .measurement import (
 )
 from .operator_core import (
     SpectralDecomposition,
+    batched_psd_sqrt,
     commutator_norm,
     is_psd,
     psd_sqrt,

@@ -17,6 +17,15 @@ and for chains of length two, and for longer chains it is the collapse whose
 step-by-step law equals the left-fold effect table.  Conjugating with the raw
 projector at every step instead would reproduce the right-fold table
 (P_1 ... P_n ... P_1), not the left fold.
+
+The root depends on the run only through its outcome prefix, so the step
+sampler keeps one root per distinct prefix: the cost of a step scales with
+the number of distinct prefixes (at most the product of the outcome counts
+so far), not with the number of runs.  Every new root is taken of S P S
+rescaled to unit trace.  The probabilities are scale-free and the root is
+positively homogeneous, so this changes no outcome, but it keeps the PSD
+clamp relative to the prefix's own mass at any chain length.  A prefix whose
+mass vanishes anyway raises `ZeroProbabilityOutcomeError`.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ import numpy as np
 
 from .collapse_product import (
     BracketTree,
-    _batched_psd_sqrt,
     JointDistribution,
     collapse_effect_tree,
     joint_distribution,
@@ -37,11 +45,13 @@ from .collapse_product import (
     total_variation,
 )
 from .config import DEFAULT, Tolerances
-from .measurement import AlgebraicState, Observable
+from .measurement import AlgebraicState, Observable, ZeroProbabilityOutcomeError
+from .operator_core import batched_psd_sqrt
 
 __all__ = [
     "ChainSpec",
     "OutcomeRecord",
+    "TableTooLargeError",
     "sample_chain_leftfold",
     "sample_chain_tree",
     "exact_chain_distribution",
@@ -53,6 +63,11 @@ __all__ = [
 
 CONVENTIONS = ("left_fold", "right_fold", "reverse_fold")
 MAX_TREE_TUPLES = 10**7
+
+
+class TableTooLargeError(ValueError):
+    """The chain is too long, or its sample space too large, for the exact
+    effect table."""
 
 
 @dataclass(frozen=True)
@@ -118,32 +133,73 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     conditional state's probabilities, then fold that outcome's projector into
     the accumulated effect root.
 
-    Vectorized across runs; returns outcome indices of shape (runs, n)."""
+    Runs that share an outcome prefix share one root, so a step costs one
+    eigensolve per distinct (prefix, outcome) pair, however many runs there
+    are.  Each root is taken of S P S rescaled to unit trace, which leaves
+    the outcomes unchanged and keeps the tol.psd clamp relative to the
+    prefix's own mass.  A prefix whose conditional mass vanishes (below
+    tol.prob of the root's own scale) raises `ZeroProbabilityOutcomeError`
+    instead of forcing an outcome.
+
+    Returns outcome indices of shape (runs, n)."""
     if spec.convention != "left_fold":
         raise ValueError("step sampling is defined for the left_fold convention")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     sequence = spec.sequence()
-    n = spec.length
     d = rho0.dim
-    uniforms = _uniform_block(spec.seed, runs, n)
-    # Accumulated effect roots S; the conditional state is S rho0 S up to
-    # normalization, so probabilities read off as Tr[S rho0 S P_i].
-    roots = np.broadcast_to(np.eye(d, dtype=np.complex128), (runs, d, d)).copy()
+    if any(obs.dim != d for obs in sequence):
+        raise ValueError("observable/state dimension mismatch")
+    uniforms = _uniform_block(spec.seed, runs, spec.length)
+    stacks = [np.stack(obs.projectors) for obs in sequence]
+    return _leftfold_draws(stacks, rho0.density, uniforms,
+                           np.eye(d, dtype=np.complex128), tol)
+
+
+def _require_mass(mass: np.ndarray, floor) -> None:
+    if not (mass > floor).all():
+        raise ZeroProbabilityOutcomeError(
+            f"an outcome prefix carries mass {mass.min():.3e}; "
+            "it cannot be conditioned on"
+        )
+
+
+def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
+                    root: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The step sampler's draws from an initial accumulated root `root`.
+
+    stacks[k] is the (n_k, d, d) projector stack of step k; row r of
+    `uniforms` drives run r by inverse CDF over the outcomes in order."""
+    runs, n = uniforms.shape
+    roots = root[None]                           # one root per distinct prefix
+    group = np.zeros(runs, dtype=np.int64)       # run -> its prefix's root
     outcomes = np.empty((runs, n), dtype=np.int64)
-    for k, obs in enumerate(sequence):
-        if obs.dim != d:
-            raise ValueError("observable/state dimension mismatch")
-        projs = np.stack(obs.projectors)
-        conditional = roots @ rho0.density @ roots
-        probs = np.einsum("rab,iba->ri", conditional, projs).real
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cum = np.cumsum(probs, axis=1)
-        cum[:, -1] = 1.0     # uniforms are in [0, 1), so the last bin catches all
-        idx = (uniforms[:, k, None] < cum).argmax(axis=1)
+    for k, projs in enumerate(stacks):
+        conditional = roots @ density @ roots
+        probs = np.clip(np.einsum("gab,iba->gi", conditional, projs).real, 0.0, None)
+        mass = probs.sum(axis=1)
+        # Tr[S rho S] against Tr[S S]: unchanged when S is rescaled.
+        scale = np.einsum("gab,gab->g", roots, roots.conj()).real
+        _require_mass(mass, tol.prob * scale)
+        cum = np.cumsum(probs / mass[:, None], axis=1)
+        # The outcome is the number of interior CDF boundaries at or below u.
+        idx = (cum[group, :-1] <= uniforms[:, k, None]).sum(axis=1)
         outcomes[:, k] = idx
-        roots = _batched_psd_sqrt(roots @ projs[idx] @ roots, tol)
+        if k + 1 == n:
+            break
+        # Regroup runs by (prefix, outcome); the key range is at most
+        # runs * n_k, so a lookup table replaces a sort.
+        keys = group * len(projs) + idx
+        seen = np.zeros(len(roots) * len(projs), dtype=bool)
+        seen[keys] = True
+        group = (np.cumsum(seen) - 1)[keys]
+        parent, last = np.divmod(np.flatnonzero(seen), len(projs))
+        grown = roots[parent]
+        grown = grown @ projs[last] @ grown
+        trace = np.einsum("gaa->g", grown).real
+        _require_mass(trace, 0.0)        # never divide by a rounded-off zero
+        grown /= trace[:, None, None]
+        roots = batched_psd_sqrt(grown, tol)
     return outcomes
 
 
@@ -155,9 +211,9 @@ def exact_chain_distribution(spec: ChainSpec, rho0: AlgebraicState,
     for obs in sequence:
         count *= obs.n_outcomes
         if count > MAX_TREE_TUPLES:
-            raise ValueError("effect table too large for tree evaluation")
+            raise TableTooLargeError("effect table too large for tree evaluation")
     if spec.length > 12:
-        raise ValueError("tree conventions are limited to chains of length <= 12")
+        raise TableTooLargeError("tree conventions are limited to chains of length <= 12")
     table = collapse_effect_tree(sequence, spec.tree(), tol)
     return joint_distribution(table, rho0, tol)
 

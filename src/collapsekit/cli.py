@@ -213,17 +213,28 @@ def cmd_chain(args, tol) -> int:
         for record in chain_mod.records(outcomes):
             print(record.line())
         return EXIT_OK
-    empirical = chain_mod.empirical_distribution(outcomes, spec)
-    exact = chain_mod.exact_chain_distribution(spec, state, tol)
-    rows = []
-    for t, pe, pf in zip(exact.tuples(), exact.probabilities.ravel(),
-                         empirical.probabilities.ravel()):
-        rows.append({
-            "convention": str(spec.convention),
+    convention = str(spec.convention)
+    try:
+        exact = chain_mod.exact_chain_distribution(spec, state, tol)
+    except chain_mod.TableTooLargeError:
+        # No exact table at this size: report the tuples that were observed.
+        axes = [obs.sample_space for obs in spec.sequence()]
+        observed, counts = np.unique(outcomes, axis=0, return_counts=True)
+        rows = [{
+            "convention": convention,
+            "outcomes": ",".join(_fmt(axes[k][i]) for k, i in enumerate(t)),
+            "exact": None,
+            "empirical": _fmt(float(c) / len(outcomes)),
+        } for t, c in zip(observed, counts)]
+    else:
+        empirical = chain_mod.empirical_distribution(outcomes, spec)
+        rows = [{
+            "convention": convention,
             "outcomes": ",".join(_fmt(v) for v in t),
             "exact": _fmt(float(pe)),
             "empirical": _fmt(float(pf)),
-        })
+        } for t, pe, pf in zip(exact.tuples(), exact.probabilities.ravel(),
+                               empirical.probabilities.ravel())]
     _emit({"rows": rows}, args.format)
     return EXIT_OK
 

@@ -28,7 +28,10 @@ from .measurement import (
 from .operator_core import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
+    as_matrix,
+    batched_psd_sqrt,
     max_entry_norm,
+    psd_sqrt,
 )
 
 __all__ = [
@@ -194,23 +197,8 @@ class JointEffectTable:
             raise ValueError("effects do not sum to the identity")
 
 
-def _batched_psd_sqrt(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """PSD square root of a stack of Hermitian matrices, clamping eigenvalues
-    in [-tol.psd, 0) to zero."""
-    herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
-    vals, vecs = np.linalg.eigh(herm)
-    if vals.min() < -tol.psd:
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {vals.min():.3e} below -{tol.psd:.1e}"
-        )
-    root_vals = np.sqrt(np.where(vals < tol.psd, 0.0, vals))
-    return np.einsum("...ik,...k,...jk->...ij", vecs, root_vals, vecs.conj())
-
-
 def sequential_product(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
     """X o Y = sqrt(X) Y sqrt(X) for PSD X, Hermitian Y."""
-    from .operator_core import as_matrix, psd_sqrt
-
     mx, my = as_matrix(x), as_matrix(y)
     if mx.shape != my.shape:
         raise DimensionMismatchError("operand dimension mismatch")
@@ -227,10 +215,10 @@ def _combine(left: JointEffectTable, right: JointEffectTable,
     if left.dim != right.dim:
         raise DimensionMismatchError("table dimension mismatch")
     if reverse:
-        roots = _batched_psd_sqrt(rflat, tol)          # sqrt over right operand
+        roots = batched_psd_sqrt(rflat, tol)          # sqrt over right operand
         out = np.einsum("rab,lbc,rcd->lrad", roots, lflat, roots)
     else:
-        roots = _batched_psd_sqrt(lflat, tol)
+        roots = batched_psd_sqrt(lflat, tol)
         out = np.einsum("lab,rbc,lcd->lrad", roots, rflat, roots)
     shape = left.shape + right.shape + (left.dim, left.dim)
     return JointEffectTable(list(left.axes) + list(right.axes), out.reshape(shape))
@@ -308,7 +296,7 @@ def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,
         given = np.stack([np.asarray(e, dtype=np.complex128) for e in povm.effects])
         if max_entry_norm(rebuilt - given) > tol.num:
             raise ValueError(f"POVM {label} is not the stated mixture of the Q set")
-    roots = _batched_psd_sqrt(stack, tol)
+    roots = batched_psd_sqrt(stack, tol)
     core = np.einsum("lab,mbc,lcd->lmad", roots, stack, roots)
     out = np.einsum("lx,my,lmab->xyab", ka, kb, core)
     axes = [np.arange(len(e_a.sample_points)), np.arange(len(e_b.sample_points))]

@@ -23,6 +23,7 @@ __all__ = [
     "require_hermitian",
     "spectral_decompose",
     "psd_sqrt",
+    "batched_psd_sqrt",
     "is_psd",
     "commutator_norm",
     "max_entry_norm",
@@ -167,6 +168,22 @@ def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
     clamped = np.where(vals < tol.psd, 0.0, vals)
     root = vecs * np.sqrt(clamped) @ vecs.conj().T
     return 0.5 * (root + root.conj().T)
+
+
+def batched_psd_sqrt(stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """PSD square roots of a stack (..., d, d) of Hermitian matrices.
+
+    Eigenvalues below tol.psd are clamped to zero, as in `psd_sqrt`; any
+    eigenvalue below -tol.psd raises `NotPositiveSemidefiniteError`.
+    """
+    herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+    vals, vecs = np.linalg.eigh(herm)
+    if vals.min() < -tol.psd:
+        raise NotPositiveSemidefiniteError(
+            f"eigenvalue {vals.min():.3e} below -{tol.psd:.1e}"
+        )
+    root_vals = np.sqrt(np.where(vals < tol.psd, 0.0, vals))
+    return np.einsum("...ik,...k,...jk->...ij", vecs, root_vals, vecs.conj())
 
 
 def is_psd(q, tol: Tolerances = DEFAULT) -> bool:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy import stats
 from collapsekit import (
     AlgebraicState,
     ChainSpec,
+    Tolerances,
     compare_conventions,
     empirical_distribution,
     exact_chain_distribution,
@@ -13,9 +16,18 @@ from collapsekit import (
     sample_chain_tree,
     total_variation,
 )
-from collapsekit.measurement import observable
+from collapsekit.measurement import ZeroProbabilityOutcomeError, observable
 
-from conftest import PAULI_X, PAULI_Z
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    assert_same_draws,
+    direction_observable,
+    philox_uniforms,
+    random_density,
+    random_unitary,
+    reference_leftfold,
+)
 
 Z = observable("Z", PAULI_Z)
 X = observable("X", PAULI_X)
@@ -149,3 +161,76 @@ class TestGuards:
             sample_chain_leftfold(
                 ChainSpec([Z], 2), AlgebraicState.maximally_mixed(3), 10
             )
+
+
+def near_unbiased_basis(rng, dim, spread):
+    """Fourier basis with random phases, rotated by exp(i*spread*H)."""
+    k = np.arange(dim)
+    fourier = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+    phases = np.exp(2j * np.pi * rng.random(dim))
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    rotation = (vecs * np.exp(1j * spread * vals / np.abs(vals).max())) @ vecs.conj().T
+    return (phases[:, None] * fourier) @ rotation
+
+
+def check_against_reference(spec, rho, runs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcomes = sample_chain_leftfold(spec, rho, runs)
+    stacks = [np.stack(obs.projectors) for obs in spec.sequence()]
+    reference, margin = reference_leftfold(
+        stacks, rho.density, philox_uniforms(spec.seed, runs, spec.length))
+    assert_same_draws(outcomes, reference, margin)
+
+
+class TestLongChains:
+    # Carried without rescaling, the accumulated root of these chains falls
+    # below the PSD clamp and runs end on forced outcomes.
+
+    def test_d8_n20_near_unbiased(self):
+        rng = np.random.default_rng(20210125)
+        base = random_unitary(rng, 8)
+        labels = np.diag(np.arange(8.0))
+        bases = [base] + [base @ near_unbiased_basis(rng, 8, 0.1) for _ in range(2)]
+        observables = [observable(f"U{i}", u @ labels @ u.conj().T)
+                       for i, u in enumerate(bases)]
+        check_against_reference(ChainSpec(observables, 20, seed=424242),
+                                random_density(rng, 8), runs=300)
+
+    def test_d2_n40_rare_outcome(self):
+        rng = np.random.default_rng(171717)
+        theta = 2.0 * np.arccos(np.sqrt(0.8))
+        z = observable("Z", np.diag([0.0, 1.0]))
+        b = direction_observable("B", theta)
+        check_against_reference(ChainSpec([z, b, b], 40, seed=171717),
+                                random_density(rng, 2), runs=2000)
+
+    def test_step_matches_table_d2_n10(self):
+        runs = 100_000
+        observables = [direction_observable(f"T{i}", t)
+                       for i, t in enumerate((0.0, 0.7, 1.9))]
+        spec = ChainSpec(observables, 10, seed=31)
+        rho = random_density(np.random.default_rng(31), 2)
+        expected = exact_chain_distribution(spec, rho).probabilities.ravel() * runs
+        emp = empirical_distribution(sample_chain_leftfold(spec, rho, runs), spec)
+        observed = emp.probabilities.ravel() * runs
+        # Cells expecting fewer than 5 draws are pooled into one.
+        rare = expected < 5.0
+        obs_cells, exp_cells = observed[~rare], expected[~rare]
+        if rare.any():
+            obs_cells = np.append(obs_cells, observed[rare].sum())
+            exp_cells = np.append(exp_cells, expected[rare].sum())
+        chi2 = float(((obs_cells - exp_cells) ** 2 / exp_cells).sum())
+        assert stats.chi2.sf(chi2, len(exp_cells) - 1) > 1e-3
+
+    def test_vanished_mass_raises(self):
+        # A rank-2 outcome leaves a unit-trace effect with eigenvalues 1/2,
+        # all inside a PSD slack of 0.6: the clamped root carries no mass.
+        a = observable("A", np.diag([1.0, 1.0, 2.0]))
+        spec = ChainSpec([a], 2, seed=5)
+        rho = AlgebraicState.maximally_mixed(3)
+        outcomes = sample_chain_leftfold(spec, rho, 100)
+        assert np.all(outcomes == outcomes[:, :1])
+        with pytest.raises(ZeroProbabilityOutcomeError):
+            sample_chain_leftfold(spec, rho, 100, Tolerances(psd=0.6))

@@ -214,6 +214,22 @@ class TestChain:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_long_step_chain_without_exact_table(self, docs, capsys):
+        # 13 steps is past the exact table's length limit: the step sampler
+        # still runs and reports the observed tuples without exact values.
+        spec = json.loads((docs["tmp"] / "chain.json").read_text())
+        spec["length"] = 13
+        long_chain = write(docs["tmp"] / "chain13.json", spec)
+        assert main(["--format=json", "chain", long_chain, "--state", docs["ket0"],
+                     "--runs", "500", "--mechanism", "step"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(r["exact"] is None for r in rows)
+        assert all(len(r["outcomes"].split(",")) == 13 for r in rows)
+        assert sum(float(r["empirical"]) for r in rows) == pytest.approx(1.0)
+        assert main(["chain", long_chain, "--state", docs["ket0"],
+                     "--mechanism", "table"]) == 2
+
+
 class TestBrackets:
     def test_catalan_sequence(self, docs, capsys):
         assert main(["--format=json", "brackets", "7"]) == 0
