@@ -54,6 +54,7 @@ __all__ = [
     "TableTooLargeError",
     "sample_chain_leftfold",
     "sample_chain_tree",
+    "sample_distribution",
     "exact_chain_distribution",
     "empirical_distribution",
     "compare_conventions",
@@ -222,13 +223,19 @@ def sample_chain_tree(spec: ChainSpec, rho0: AlgebraicState, runs: int,
                       tol: Tolerances = DEFAULT) -> np.ndarray:
     """Sample outcome tuples directly from the bracketing's exact joint
     distribution (one uniform per run from the run's substream)."""
+    return sample_distribution(exact_chain_distribution(spec, rho0, tol),
+                               spec.seed, runs)
+
+
+def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.ndarray:
+    """Outcome-index tuples drawn from a joint table by inverse CDF over its
+    C-order entries, one uniform per run from the run's substream of `seed`.
+    `sample_chain_tree` is this applied to the chain's exact table."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    dist = exact_chain_distribution(spec, rho0, tol)
-    flat = dist.probabilities.ravel()
-    cum = np.cumsum(flat)
+    cum = np.cumsum(dist.probabilities.ravel())
     cum[-1] = 1.0
-    uniforms = _uniform_block(spec.seed, runs, 1)[:, 0]
+    uniforms = _uniform_block(seed, runs, 1)[:, 0]
     flat_idx = np.searchsorted(cum, uniforms, side="right")
     multi = np.unravel_index(flat_idx, dist.shape)
     return np.stack(multi, axis=1).astype(np.int64)

@@ -205,17 +205,20 @@ def cmd_chain(args, tol) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     state = load_document(args.state, tol, expect="state")
+    exact = None
     if args.mechanism == "step":
         outcomes = chain_mod.sample_chain_leftfold(spec, state, args.runs, tol)
     else:
-        outcomes = chain_mod.sample_chain_tree(spec, state, args.runs, tol)
+        exact = chain_mod.exact_chain_distribution(spec, state, tol)
+        outcomes = chain_mod.sample_distribution(exact, spec.seed, args.runs)
     if args.emit_records:
         for record in chain_mod.records(outcomes):
             print(record.line())
         return EXIT_OK
     convention = str(spec.convention)
     try:
-        exact = chain_mod.exact_chain_distribution(spec, state, tol)
+        if exact is None:
+            exact = chain_mod.exact_chain_distribution(spec, state, tol)
     except chain_mod.TableTooLargeError:
         # No exact table at this size: report the tuples that were observed.
         axes = [obs.sample_space for obs in spec.sequence()]

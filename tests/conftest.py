@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from collapsekit import AlgebraicState
 from collapsekit.measurement import observable
+from collapsekit.rational_lp import FeasibilityResult
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -95,3 +98,82 @@ def assert_same_draws(outcomes, reference, margin, boundary=1e-9):
     assert not (differs & (margin > boundary)).any(), (
         f"{int((differs & (margin > boundary)).sum())} runs differ from the reference"
     )
+
+
+def reference_feasibility_lp(rows, rhs) -> FeasibilityResult:
+    """Phase-1 simplex over A x = b, x >= 0 with exact rational pivoting on
+    the dense [A | I | b] tableau, started from the all-artificial basis;
+    Bland's rule."""
+    m = len(rows)
+    if m == 0:
+        return FeasibilityResult(Fraction(0), [], [])
+    n = len(rows[0])
+    a = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    signs = []
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-v for v in a[i]]
+            b[i] = -b[i]
+            signs.append(-1)
+        else:
+            signs.append(1)
+
+    tableau = [a[i] + [Fraction(int(i == k)) for k in range(m)] + [b[i]]
+               for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost = [Fraction(int(j >= n)) for j in range(n + m)]
+    d = [cost[j] - sum(tableau[i][j] for i in range(m)) for j in range(n + m)]
+
+    while True:
+        enter = next((j for j in range(n + m) if d[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [vi - f * vp for vi, vp in zip(tableau[i], tableau[leave])]
+        f = d[enter]
+        d = [dj - f * vp for dj, vp in zip(d, tableau[leave][:-1])]
+        basis[leave] = enter
+
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i][-1]
+    y = [(Fraction(1) - d[n + i]) * signs[i] for i in range(m)]
+    value = sum(tableau[i][-1] for i in range(m) if basis[i] >= n)
+    return FeasibilityResult(value, solution, y)
+
+
+def assert_exact_optimum(result: FeasibilityResult, rows, rhs) -> None:
+    """The phase-1 optimality conditions, in exact arithmetic: x >= 0, every
+    row's slack sign(b_i) (b_i - A_i x) >= 0 with the slacks summing to the
+    violation, and a certificate y with y.A <= 0 and y.b == violation."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    x = result.solution
+    y = result.certificate
+    n = len(a[0]) if a else 0
+    assert len(x) == n and len(y) == len(b)
+    assert all(v >= 0 for v in x)
+    slacks = [(-1 if bi < 0 else 1) * (bi - sum(aij * xj for aij, xj in zip(ai, x)))
+              for ai, bi in zip(a, b)]
+    assert all(s >= 0 for s in slacks)
+    assert sum(slacks) == result.violation
+    for j in range(n):
+        assert sum(yi * ai[j] for yi, ai in zip(y, a)) <= 0
+    assert sum(yi * bi for yi, bi in zip(y, b)) == result.violation

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from collapsekit import chain as chain_mod
 from collapsekit.cli import main
 from collapsekit.io import dump_document, load_document
 from collapsekit.measurement import AlgebraicState, observable
@@ -213,6 +214,29 @@ class TestChain:
         total = sum(float(r["empirical"]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+
+    def test_table_mechanism_builds_the_exact_table_once(self, docs, capsys,
+                                                         monkeypatch):
+        spec = load_document(docs["chain"])
+        state = load_document(docs["ket0"])
+        expected = "".join(r.line() + "\n" for r in chain_mod.records(
+            chain_mod.sample_chain_tree(spec, state, 300)))
+        calls = []
+        build = chain_mod.exact_chain_distribution
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(chain_mod, "exact_chain_distribution", counting)
+        argv = ["chain", docs["chain"], "--state", docs["ket0"],
+                "--runs", "300", "--mechanism", "table"]
+        assert main(["--format=json"] + argv) == 0
+        assert len(calls) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert sum(float(r["empirical"]) for r in rows) == pytest.approx(1.0)
+        assert main(argv + ["--emit-records"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_long_step_chain_without_exact_table(self, docs, capsys):
         # 13 steps is past the exact table's length limit: the step sampler

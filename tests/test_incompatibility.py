@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,12 +13,18 @@ from collapsekit import (
     chsh_value,
     noncommutative_unifying_state,
 )
+from collapsekit import incompatibility, rational_lp
 from collapsekit.collapse_product import JointDistribution
 from collapsekit.incompatibility import CHSH_QUANTUM_BOUND
 from collapsekit.measurement import observable
-from collapsekit.rational_lp import feasibility_lp
+from collapsekit.rational_lp import FeasibilityResult, feasibility_lp
 
-from conftest import direction_observable, singlet_state
+from conftest import (
+    assert_exact_optimum,
+    direction_observable,
+    reference_feasibility_lp,
+    singlet_state,
+)
 
 PM = [-1.0, 1.0]
 SINGLET_ANGLES = (0.0, np.pi / 2, 5 * np.pi / 4, 3 * np.pi / 4)
@@ -61,6 +68,62 @@ class TestRationalLp:
         assert result.violation == 0
         assert result.solution[0] == Fraction(1, 3)
         assert result.solution[1] == Fraction(2, 3)
+
+    def test_numpy_integers_are_exact(self):
+        # Products of these entries pass 2**63: a Fraction built from a numpy
+        # integer would wrap around.
+        rows = np.array([[2**40, 1, 3], [1, 2**40, 5], [7, 2**39, 1]])
+        rhs = np.array([2**41 + 3, 2**40 + 1, 5])
+        result = feasibility_lp(rows, rhs)
+        expected = reference_feasibility_lp(rows.tolist(), rhs.tolist())
+        assert result.violation == expected.violation == Fraction(17592186044439, 7)
+        assert_exact_optimum(result, rows.tolist(), rhs.tolist())
+
+    # x1 = 1 and 1e-10 x1 = 1e-12: the float stage ignores the 1e-10 pivot
+    # candidate, so its basis (x1 basic in row 0) is exactly infeasible in
+    # row 1.  The exact optimum is x1 = 1/100, violation 99/100.
+    TINY = Fraction(1, 10**10)
+    TINY_ROWS = [[Fraction(1)], [TINY]]
+    TINY_RHS = [Fraction(1), TINY / 100]
+
+    def _record_starts(self, monkeypatch):
+        seen = {"accepted": [], "negative_values": []}
+        basis = rational_lp._ExactBasis
+        enter, dual = basis.enter_basis, basis.dual_pivots
+
+        def enter_basis(lp, columns):
+            seen["accepted"].append(enter(lp, columns))
+            return seen["accepted"][-1]
+
+        def dual_pivots(lp):
+            seen["negative_values"].append(any(v < 0 for v in lp.values))
+            dual(lp)
+
+        monkeypatch.setattr(basis, "enter_basis", enter_basis)
+        monkeypatch.setattr(basis, "dual_pivots", dual_pivots)
+        return seen
+
+    def test_dual_repair_of_float_basis(self, monkeypatch):
+        seen = self._record_starts(monkeypatch)
+        result = feasibility_lp(self.TINY_ROWS, self.TINY_RHS)
+        assert seen == {"accepted": [True], "negative_values": [True]}
+        assert result.violation == Fraction(99, 100)
+        assert result.solution == [Fraction(1, 100)]
+        assert reference_feasibility_lp(self.TINY_ROWS, self.TINY_RHS).violation == \
+            result.violation
+        assert_exact_optimum(result, self.TINY_ROWS, self.TINY_RHS)
+
+    def test_fallback_to_all_artificial_basis(self, monkeypatch):
+        # A second column (0, 1e-10) has reduced cost -1e-10, above the float
+        # tolerance: the float basis is neither primal nor dual feasible.
+        rows = [[Fraction(1), Fraction(0)], [self.TINY, self.TINY]]
+        seen = self._record_starts(monkeypatch)
+        result = feasibility_lp(rows, self.TINY_RHS)
+        assert seen == {"accepted": [False], "negative_values": [False]}
+        assert result.violation == Fraction(99, 100)
+        assert reference_feasibility_lp(rows, self.TINY_RHS).violation == \
+            result.violation
+        assert_exact_optimum(result, rows, self.TINY_RHS)
 
 
 class TestAdmitsGlobalJoint:
@@ -139,6 +202,51 @@ class TestAdmitsGlobalJoint:
         )
         with pytest.raises(ValueError):
             admits_global_joint(problem)
+
+    def test_constraint_rows_labels_and_rhs(self, monkeypatch):
+        # Contexts of arity 1-3, one with its axes out of problem order,
+        # taken from one global joint.
+        rng = np.random.default_rng(7)
+        sizes = {"A": 2, "B": 3, "C": 2}
+        joint = rng.dirichlet(np.ones(12)).reshape(2, 3, 2)
+        axes = {name: list(range(s)) for name, s in sizes.items()}
+
+        def context(names):
+            keep = ["ABC".index(n) for n in names]
+            table = joint.sum(axis=tuple(k for k in range(3) if k not in keep))
+            table = np.transpose(table, np.argsort(np.argsort(keep)))
+            return names, JointDistribution(
+                [np.arange(sizes[n], dtype=float) for n in names], table)
+
+        problem = MarginalProblem(axes, [context(("C", "A")), context(("B",)),
+                                         context(("A", "B", "C"))])
+        # The row-by-row construction the vectorised build replaces.
+        order = list(sizes)
+        rows, rhs, labels = [], [], []
+        for names, dist in problem.contexts:
+            pos = [order.index(n) for n in names]
+            flat = dist.probabilities.ravel()
+            for entry, combo in enumerate(product(*(range(sizes[n]) for n in names))):
+                rows.append([int(all(t[p] == c for p, c in zip(pos, combo)))
+                             for t in product(*(range(sizes[n]) for n in order))])
+                rhs.append(Fraction(float(flat[entry])))
+                labels.append((names, combo))
+        rows.append([1] * 12)
+        rhs.append(Fraction(1))
+        labels.append(("normalization", ()))
+
+        seen = {}
+
+        def fake_lp(a, b):
+            seen["rows"], seen["rhs"] = np.asarray(a), b
+            return FeasibilityResult(Fraction(1), [], list(range(1, len(b) + 1)))
+
+        monkeypatch.setattr(incompatibility, "feasibility_lp", fake_lp)
+        verdict = admits_global_joint(problem)
+        assert np.array_equal(seen["rows"], np.array(rows))
+        assert seen["rhs"] == rhs
+        assert verdict.certificate == [(label, float(k + 1))
+                                       for k, label in enumerate(labels)]
 
     def test_tuple_space_guard(self):
         dist = _pair_dist([[0.25, 0.25], [0.25, 0.25]])
