@@ -35,13 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collapse_product import (
+    FOLD_TREES,
     BracketTree,
     JointDistribution,
     collapse_effect_tree,
     joint_distribution,
-    left_fold_tree,
-    reverse_fold_tree,
-    right_fold_tree,
     total_variation,
 )
 from .config import DEFAULT, Tolerances
@@ -62,7 +60,7 @@ __all__ = [
     "records",
 ]
 
-CONVENTIONS = ("left_fold", "right_fold", "reverse_fold")
+CONVENTIONS = tuple(FOLD_TREES)
 MAX_TREE_TUPLES = 10**7
 
 
@@ -96,12 +94,7 @@ class ChainSpec:
 
     def tree(self) -> BracketTree:
         if isinstance(self.convention, str):
-            builder = {
-                "left_fold": left_fold_tree,
-                "right_fold": right_fold_tree,
-                "reverse_fold": reverse_fold_tree,
-            }[self.convention]
-            return builder(self.length)
+            return FOLD_TREES[self.convention](self.length)
         tree = self.convention
         if tree.leaves != tuple(range(self.length)):
             raise ValueError("explicit tree does not match the chain length")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -18,13 +19,11 @@ import numpy as np
 
 from . import chain as chain_mod
 from .collapse_product import (
+    FOLD_TREES,
     catalan,
     collapse_effect_tree,
     enumerate_bracketings,
     joint_distribution,
-    left_fold_tree,
-    reverse_fold_tree,
-    right_fold_tree,
 )
 from .config import DEFAULT, Tolerances
 from .equivalence import build_commutative_model, verify_equivalence
@@ -82,14 +81,15 @@ def _tolerances(args) -> Tolerances:
     )
 
 
+# `--tree` names a fold convention without its "_fold" suffix.
+_TREE_CHOICES = tuple(name.removesuffix("_fold") for name in FOLD_TREES)
+
+
 def _tree_for(name: str, n: int):
-    if name == "left":
-        return left_fold_tree(n)
-    if name == "right":
-        return right_fold_tree(n)
-    if name == "reverse":
-        return reverse_fold_tree(n)
-    raise DocumentError(f"unknown tree convention {name!r}")
+    builder = FOLD_TREES.get(f"{name}_fold")
+    if builder is None:
+        raise DocumentError(f"unknown tree convention {name!r}")
+    return builder(n)
 
 
 def _joint_from_args(args, tol):
@@ -273,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint", help="collapse-product joint distribution")
     p.add_argument("observables", nargs="+")
     p.add_argument("--state", required=True)
-    p.add_argument("--tree", choices=("left", "right", "reverse"), default="left")
+    p.add_argument("--tree", choices=_TREE_CHOICES, default="left")
     p.set_defaults(func=cmd_joint)
 
     p = sub.add_parser("equivalence", help="commutative no-collapse model")
     p.add_argument("observables", nargs="+")
     p.add_argument("--state", required=True)
-    p.add_argument("--tree", choices=("left", "right", "reverse"), default="left")
+    p.add_argument("--tree", choices=_TREE_CHOICES, default="left")
     p.add_argument("--perturb", type=float, default=None,
                    help="inject a probability error before verification")
     p.set_defaults(func=cmd_equivalence)
@@ -316,8 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: each parser is cyclic garbage once dropped.
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and "COLLAPSEKIT_SEED" in os.environ:
         if hasattr(args, "seed"):
             args.seed = int(os.environ["COLLAPSEKIT_SEED"])

@@ -48,6 +48,7 @@ __all__ = [
     "left_fold_tree",
     "right_fold_tree",
     "reverse_fold_tree",
+    "FOLD_TREES",
     "q_relative_collapse",
     "joint_distribution",
     "catalan",
@@ -146,6 +147,14 @@ def reverse_fold_tree(n: int) -> BracketTree:
     for k in range(1, n):
         tree = Node(tree, Leaf(k), reverse=True)
     return tree
+
+
+# Named fold conventions: name -> builder of the n-leaf tree.
+FOLD_TREES = {
+    "left_fold": left_fold_tree,
+    "right_fold": right_fold_tree,
+    "reverse_fold": reverse_fold_tree,
+}
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,11 @@ ready pointer |0> with the outcome pointer |i+1>.  On the defining slice this
 gives U (|a_i> (x) |ready>) = |a_i> (x) |pointer_i>; the completion on the
 unused subspace is unitary by construction and never affects the extracted
 probabilities.
+
+Two instruments in sequence act on a (system, pointer A, pointer B) tensor:
+each one's own unitary, reshaped to (system, pointer, system, pointer), is
+contracted over the system and its own pointer, so no operator on the full
+space is ever formed.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ __all__ = [
 ]
 
 
+def _exchange_ready(pointer: np.ndarray, target: int | np.ndarray) -> np.ndarray:
+    """Pointer indices after exchanging the ready pointer 0 with `target`."""
+    return np.where(pointer == 0, target, np.where(pointer == target, 0, pointer))
+
+
 def _transposition(dim: int, k: int) -> np.ndarray:
     """Permutation matrix exchanging basis states 0 and k."""
-    t = np.eye(dim, dtype=np.complex128)
-    if k != 0:
-        t[0, 0] = t[k, k] = 0.0
-        t[0, k] = t[k, 0] = 1.0
-    return t
+    return np.eye(dim, dtype=np.complex128)[_exchange_ready(np.arange(dim), k)]
 
 
 @dataclass(frozen=True)
@@ -101,41 +107,34 @@ class InstrumentModel:
         return self.first.system_dim
 
 
-def _full_evolution(model: InstrumentModel) -> np.ndarray:
-    """U_B U_A on system (x) ancilla_A (x) ancilla_B."""
-    d = model.system_dim
-    da, db = model.first.ancilla_dim, model.second.ancilla_dim
-    # Embed U_A (sys (x) ancA) and U_B (sys (x) ancB) into the full space.
-    u_a = np.kron(model.first.unitary, np.eye(db))
-    u_b = np.zeros((d * da * db,) * 2, dtype=np.complex128)
-    for j, proj in enumerate(model.second.observable.projectors):
-        u_b += np.kron(np.kron(proj, np.eye(da)), _transposition(db, j + 1))
-    return u_b @ u_a
+def _pointer_readout(final: np.ndarray, na: int, nb: int,
+                     tol: Tolerances) -> np.ndarray:
+    """Probabilities of pointer pairs (i+1, j+1) in a (system, pointer A,
+    pointer B) tensor, renormalised after checking they sum to one."""
+    probs = np.sum(np.abs(final[:, 1:na + 1, 1:nb + 1]) ** 2, axis=0)
+    total_p = probs.sum()
+    if abs(total_p - 1.0) > tol.num:
+        raise ValueError(f"pointer probabilities sum to {total_p!r}")
+    return probs / total_p
 
 
 def sequential_probabilities(model: InstrumentModel, psi: VectorState,
                              tol: Tolerances = DEFAULT) -> JointDistribution:
     """Pointer-basis Born probabilities after both instruments fire.
 
-    Prepares |psi> (x) |ready_A> (x) |ready_B>, applies U_B U_A, and reads the
-    probability of pointer pair (i, j); the result coincides with the
-    collapse-product joint for the same observables and state."""
+    Prepares |psi> (x) |ready_A> (x) |ready_B> as a (system, pointer A,
+    pointer B) tensor, applies U_A and then U_B each on its own pointer, and
+    reads the probability of pointer pair (i, j); the result coincides with
+    the collapse-product joint for the same observables and state."""
     if psi.dim != model.system_dim:
         raise DimensionMismatchError("vector/system dimension mismatch")
     a, b = model.first, model.second
-    total = np.kron(np.kron(psi.amplitudes, a.pointer_state(None)),
-                    b.pointer_state(None))
-    final = (_full_evolution(model) @ total).reshape(
-        model.system_dim, a.ancilla_dim, b.ancilla_dim
-    )
-    probs = np.zeros((a.n_outcomes, b.n_outcomes))
-    for i in range(a.n_outcomes):
-        for j in range(b.n_outcomes):
-            probs[i, j] = float(np.sum(np.abs(final[:, i + 1, j + 1]) ** 2))
-    total_p = probs.sum()
-    if abs(total_p - 1.0) > tol.num:
-        raise ValueError(f"pointer probabilities sum to {total_p!r}")
-    probs /= total_p
+    d, da, db = model.system_dim, a.ancilla_dim, b.ancilla_dim
+    state = np.zeros((d, da, db), dtype=np.complex128)
+    state[:, 0, 0] = psi.amplitudes
+    state = np.einsum("skte,tel->skl", a.unitary.reshape(d, da, d, da), state)
+    state = np.einsum("slte,tke->skl", b.unitary.reshape(d, db, d, db), state)
+    probs = _pointer_readout(state, a.n_outcomes, b.n_outcomes, tol)
     axes = [np.asarray(a.observable.sample_space), np.asarray(b.observable.sample_space)]
     return JointDistribution(axes, probs)
 
@@ -235,13 +234,16 @@ def build_joint_instrument(dist_target: JointDistribution,
     primed_a = np.array([t[0] for t in tuples])
     primed_b = np.array([t[1] for t in tuples])
     psi = np.sqrt(dist_target.probabilities.ravel()).astype(np.complex128)
-    u = np.zeros((n_tuples * da * db,) * 2, dtype=np.complex128)
-    for t_index in range(n_tuples):
-        i, j = divmod(t_index, nb)
-        basis_proj = np.zeros((n_tuples, n_tuples), dtype=np.complex128)
-        basis_proj[t_index, t_index] = 1.0
-        u += np.kron(np.kron(basis_proj, _transposition(da, i + 1)),
-                     _transposition(db, j + 1))
+    # U_AB is the permutation |t, k, l> -> |t, s_i(k), s_j(l)> with
+    # (i, j) = divmod(t, nb), where s_m exchanges the ready pointer 0 with m.
+    t, k, l = np.indices((n_tuples, da, db)).reshape(3, -1)
+    i, j = divmod(t, nb)
+    image = np.ravel_multi_index(
+        (t, _exchange_ready(k, i + 1), _exchange_ready(l, j + 1)),
+        (n_tuples, da, db),
+    )
+    u = np.zeros((t.size, t.size), dtype=np.complex128)
+    u[image, np.arange(t.size)] = 1.0
     return JointInstrument(
         basis_tuples=tuples,
         primed_first=primed_a,
@@ -257,18 +259,8 @@ def joint_instrument_probabilities(model: JointInstrument,
                                    tol: Tolerances = DEFAULT) -> JointDistribution:
     """Pointer statistics of the AB instrument applied to its own |psi_AB>."""
     da, db = model.ancilla_dims
-    ready = np.zeros(da, dtype=np.complex128)
-    ready[0] = 1.0
-    ready_b = np.zeros(db, dtype=np.complex128)
-    ready_b[0] = 1.0
-    total = np.kron(np.kron(model.psi, ready), ready_b)
-    final = (model.unitary @ total).reshape(model.enlarged_dim, da, db)
-    na, nb = len(model.axes[0]), len(model.axes[1])
-    probs = np.zeros((na, nb))
-    for i in range(na):
-        for j in range(nb):
-            probs[i, j] = float(np.sum(np.abs(final[:, i + 1, j + 1]) ** 2))
-    total_p = probs.sum()
-    if abs(total_p - 1.0) > tol.num:
-        raise ValueError(f"pointer probabilities sum to {total_p!r}")
-    return JointDistribution(list(model.axes), probs / total_p)
+    initial = np.zeros((model.enlarged_dim, da, db), dtype=np.complex128)
+    initial[:, 0, 0] = model.psi
+    final = (model.unitary @ initial.ravel()).reshape(initial.shape)
+    probs = _pointer_readout(final, len(model.axes[0]), len(model.axes[1]), tol)
+    return JointDistribution(list(model.axes), probs)

@@ -154,8 +154,9 @@ def spectral_decompose(
 def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
     """The unique positive semi-definite square root of a PSD matrix.
 
-    Eigenvalues in [-tol.psd, 0) are clamped to zero; anything below -tol.psd
-    raises `NotPositiveSemidefiniteError`.
+    Every eigenvalue below tol.psd, positive ones included, is set to zero
+    before the root; anything below -tol.psd raises
+    `NotPositiveSemidefiniteError`.
     """
     m = require_hermitian(q, tol)
     vals, vecs = np.linalg.eigh(m)

@@ -177,3 +177,23 @@ def assert_exact_optimum(result: FeasibilityResult, rows, rhs) -> None:
     for j in range(n):
         assert sum(yi * ai[j] for yi, ai in zip(y, a)) <= 0
     assert sum(yi * bi for yi, bi in zip(y, b)) == result.violation
+
+
+def reference_joint_unitary(na, nb, da, db):
+    """The joint instrument's U_AB as a sum of na * nb Kronecker products:
+    |t><t| (x) T_A(i+1) (x) T_B(j+1) with (i, j) = divmod(t, nb), where T(k)
+    exchanges the ready pointer 0 with pointer k."""
+    def transposition(dim, k):
+        t = np.eye(dim, dtype=np.complex128)
+        t[[0, k]] = t[[k, 0]]
+        return t
+
+    n_tuples = na * nb
+    u = np.zeros((n_tuples * da * db,) * 2, dtype=np.complex128)
+    for t_index in range(n_tuples):
+        i, j = divmod(t_index, nb)
+        basis_proj = np.zeros((n_tuples, n_tuples), dtype=np.complex128)
+        basis_proj[t_index, t_index] = 1.0
+        u += np.kron(np.kron(basis_proj, transposition(da, i + 1)),
+                     transposition(db, j + 1))
+    return u

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from collapsekit import chain as chain_mod
-from collapsekit.cli import main
+from collapsekit.cli import build_parser, main
+from collapsekit.collapse_product import (
+    FOLD_TREES,
+    collapse_effect_tree,
+    joint_distribution,
+)
 from collapsekit.io import dump_document, load_document
 from collapsekit.measurement import AlgebraicState, observable
 
@@ -125,6 +130,22 @@ class TestJoint:
         assert outputs[0] != outputs[1]
 
 
+class TestTreeConventions:
+    @pytest.mark.parametrize("convention", sorted(FOLD_TREES))
+    def test_tree_flag_uses_the_fold_registry(self, docs, capsys, convention):
+        # `--tree left` names the same tree as the chain convention left_fold.
+        name = convention.removesuffix("_fold")
+        assert main(["--format=json", "joint", docs["z"], docs["x"], docs["z"],
+                     "--state", docs["ket0"], "--tree", name]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        obs = [load_document(docs[k]) for k in ("z", "x", "z")]
+        tree = chain_mod.ChainSpec(obs, 3, convention).tree()
+        dist = joint_distribution(collapse_effect_tree(obs, tree),
+                                  load_document(docs["ket0"]))
+        got = [float(r["probability"]) for r in rows]
+        assert got == pytest.approx(dist.probabilities.ravel().tolist(), abs=1e-11)
+
+
 class TestEquivalence:
     def test_exact(self, docs, capsys):
         assert main(["--format=json", "equivalence", docs["z"], docs["x"],
@@ -206,6 +227,28 @@ class TestChain:
         assert main(base + ["--seed", "99"]) == 0
         flag_out = capsys.readouterr().out
         assert env_out == flag_out
+
+    def test_seed_flag_does_not_carry_to_the_next_call(self, docs, capsys,
+                                                        monkeypatch):
+        # One parser serves every call of main in a process: a --seed given
+        # to one call must not become the default of the next.
+        monkeypatch.delenv("COLLAPSEKIT_SEED", raising=False)
+        spec = json.loads((docs["tmp"] / "chain.json").read_text())
+        spec["seed"] = 0
+        seed0 = write(docs["tmp"] / "chain_seed0.json", spec)
+        base = ["chain", seed0, "--state", docs["ket0"],
+                "--runs", "50", "--mechanism", "step", "--emit-records"]
+        assert main(base + ["--seed", "5"]) == 0
+        first = capsys.readouterr().out
+        assert main(base) == 0
+        second = capsys.readouterr().out
+        outcomes = chain_mod.sample_chain_leftfold(
+            load_document(seed0), load_document(docs["ket0"]), 50)
+        assert second == "".join(r.line() + "\n" for r in chain_mod.records(outcomes))
+        assert first != second
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
     def test_summary_table(self, docs, capsys):
         assert main(["--format=json", "chain", docs["chain"],

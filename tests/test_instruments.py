@@ -14,6 +14,7 @@ from collapsekit import (
     luders_duality_check,
     sequential_probabilities,
 )
+from collapsekit.collapse_product import JointDistribution
 from collapsekit.measurement import observable
 from collapsekit.operator_core import DimensionMismatchError, commutator_norm
 
@@ -23,6 +24,8 @@ from conftest import (
     random_density,
     random_hermitian,
     random_unit_vector,
+    random_unitary,
+    reference_joint_unitary,
 )
 
 Z = observable("Z", PAULI_Z)
@@ -170,3 +173,65 @@ class TestJointInstrument:
         dist = joint_distribution(table, AlgebraicState.maximally_mixed(3))
         with pytest.raises(ValueError):
             build_joint_instrument(dist)
+
+
+def degenerate_observable(rng, dim, name):
+    """Random eigenbasis with eigenvalue labels 0, 0, 1, 1, ...: outcomes of
+    rank two (the last of rank one when dim is odd)."""
+    u = random_unitary(rng, dim)
+    return observable(name, (u * (np.arange(dim) // 2)) @ u.conj().T)
+
+
+class TestTensorPath:
+    @pytest.mark.parametrize("dim", range(2, 11))
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_matches_collapse_pair(self, rng, dim, degenerate):
+        for _ in range(3):
+            if degenerate:
+                a = degenerate_observable(rng, dim, "A")
+                b = degenerate_observable(rng, dim, "B")
+            else:
+                a = observable("A", random_hermitian(rng, dim))
+                b = observable("B", random_hermitian(rng, dim))
+            assert (a.n_outcomes < dim) == degenerate
+            psi = random_unit_vector(rng, dim)
+            model = InstrumentModel(
+                build_instrument(a, a.n_outcomes + 1),
+                build_instrument(b, b.n_outcomes + 1),
+            )
+            dist = sequential_probabilities(model, VectorState(psi))
+            oracle = joint_distribution(
+                collapse_effect_pair(a, b), AlgebraicState.pure(psi)
+            )
+            assert np.abs(dist.probabilities - oracle.probabilities).max() <= 1e-14
+
+    def test_larger_ancillas(self, rng):
+        for dim in (2, 3, 5):
+            a = observable("A", random_hermitian(rng, dim))
+            b = degenerate_observable(rng, dim, "B")
+            psi = VectorState(random_unit_vector(rng, dim))
+            minimal = InstrumentModel(
+                build_instrument(a, a.n_outcomes + 1),
+                build_instrument(b, b.n_outcomes + 1),
+            )
+            padded = InstrumentModel(
+                build_instrument(a, a.n_outcomes + 3),
+                build_instrument(b, b.n_outcomes + 2),
+            )
+            expected = sequential_probabilities(minimal, psi).probabilities
+            got = sequential_probabilities(padded, psi).probabilities
+            assert np.abs(got - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("na", [2, 3, 4])
+    @pytest.mark.parametrize("nb", [2, 3, 4])
+    def test_joint_unitary_is_the_kron_sum(self, rng, na, nb):
+        target = rng.dirichlet(np.ones(na * nb)).reshape(na, nb)
+        dist = JointDistribution(
+            [np.arange(na, dtype=float), np.arange(nb, dtype=float)], target
+        )
+        for da, db in ((na + 1, nb + 1), (na + 2, nb + 3)):
+            model = build_joint_instrument(dist, (da, db))
+            assert np.array_equal(model.unitary,
+                                  reference_joint_unitary(na, nb, da, db))
+            out = joint_instrument_probabilities(model)
+            assert np.abs(out.probabilities - target).max() <= 1e-15
