@@ -8,6 +8,13 @@ X o Y = sqrt(X) Y sqrt(X); the recursion keeps every intermediate PSD, and for
 a bare pair of projectors it reduces to the formula above.  The product is
 noncommutative and nonassociative, so the bracketing is explicit input: a
 binary tree whose leaves are the measurement sequence in order.
+
+Every table node, the Q-relative collapse and the single product go through
+one kernel: the roots of one stack sandwich every entry of the other by two
+batched matrix products.  Each root zeroes only the eigenvalues of its own
+entry below min(tol.psd * lambda_max, tol.psd), a cut relative to that
+entry's largest eigenvalue, so deep entries whose whole mass is below tol.psd
+keep their genuine small eigenvalues.
 """
 
 from __future__ import annotations
@@ -29,9 +36,8 @@ from .operator_core import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     as_matrix,
-    batched_psd_sqrt,
     max_entry_norm,
-    psd_sqrt,
+    require_hermitian,
 )
 
 __all__ = [
@@ -198,12 +204,30 @@ class JointEffectTable:
         return float(np.linalg.eigvalsh(herm)[..., 0].min())
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
-        if self.min_eigenvalue() < -tol.psd:
-            raise NotPositiveSemidefiniteError(
-                f"effect eigenvalue {self.min_eigenvalue():.3e}"
-            )
+        lowest = self.min_eigenvalue()
+        if lowest < -tol.psd:
+            raise NotPositiveSemidefiniteError(f"effect eigenvalue {lowest:.3e}")
         if max_entry_norm(self.total() - np.eye(self.dim)) > tol.num:
             raise ValueError("effects do not sum to the identity")
+
+
+def _sandwich(xs: np.ndarray, ys: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """sqrt(X_l) Y_r sqrt(X_l) for every X_l of a stack (L, d, d) and every
+    Y_r of a stack (R, d, d), shape (L, R, d, d).
+
+    Each root zeroes the eigenvalues of its X_l below
+    min(tol.psd * lambda_max, tol.psd); any eigenvalue below -tol.psd raises
+    `NotPositiveSemidefiniteError`."""
+    herm = 0.5 * (xs + np.conj(np.swapaxes(xs, -1, -2)))
+    vals, vecs = np.linalg.eigh(herm)
+    if vals.min() < -tol.psd:
+        raise NotPositiveSemidefiniteError(
+            f"eigenvalue {vals.min():.3e} below -{tol.psd:.1e}"
+        )
+    cut = np.clip(tol.psd * vals[:, -1:], 0.0, tol.psd)
+    root_vals = np.sqrt(np.where(vals < cut, 0.0, vals))
+    roots = (vecs * root_vals[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return roots[:, None] @ ys[None] @ roots[:, None]
 
 
 def sequential_product(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -211,8 +235,8 @@ def sequential_product(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
     mx, my = as_matrix(x), as_matrix(y)
     if mx.shape != my.shape:
         raise DimensionMismatchError("operand dimension mismatch")
-    root = psd_sqrt(mx, tol)
-    return root @ my @ root
+    mx = require_hermitian(mx, tol)
+    return _sandwich(mx[None], my[None], tol)[0, 0]
 
 
 def _combine(left: JointEffectTable, right: JointEffectTable,
@@ -224,11 +248,10 @@ def _combine(left: JointEffectTable, right: JointEffectTable,
     if left.dim != right.dim:
         raise DimensionMismatchError("table dimension mismatch")
     if reverse:
-        roots = batched_psd_sqrt(rflat, tol)          # sqrt over right operand
-        out = np.einsum("rab,lbc,rcd->lrad", roots, lflat, roots)
+        # Roots over the right operand, then back to (left, right) order.
+        out = _sandwich(rflat, lflat, tol).swapaxes(0, 1)
     else:
-        roots = batched_psd_sqrt(lflat, tol)
-        out = np.einsum("lab,rbc,lcd->lrad", roots, rflat, roots)
+        out = _sandwich(lflat, rflat, tol)
     shape = left.shape + right.shape + (left.dim, left.dim)
     return JointEffectTable(list(left.axes) + list(right.axes), out.reshape(shape))
 
@@ -305,8 +328,7 @@ def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,
         given = np.stack([np.asarray(e, dtype=np.complex128) for e in povm.effects])
         if max_entry_norm(rebuilt - given) > tol.num:
             raise ValueError(f"POVM {label} is not the stated mixture of the Q set")
-    roots = batched_psd_sqrt(stack, tol)
-    core = np.einsum("lab,mbc,lcd->lmad", roots, stack, roots)
+    core = _sandwich(stack, stack, tol)
     out = np.einsum("lx,my,lmab->xyab", ka, kb, core)
     axes = [np.arange(len(e_a.sample_points)), np.arange(len(e_b.sample_points))]
     return JointEffectTable(axes, out)

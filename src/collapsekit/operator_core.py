@@ -175,7 +175,10 @@ def batched_psd_sqrt(stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray
     """PSD square roots of a stack (..., d, d) of Hermitian matrices.
 
     Eigenvalues below tol.psd are clamped to zero, as in `psd_sqrt`; any
-    eigenvalue below -tol.psd raises `NotPositiveSemidefiniteError`.
+    eigenvalue below -tol.psd raises `NotPositiveSemidefiniteError`.  The cut
+    stays absolute because the step sampler relies on it: a unit-trace effect
+    whose eigenvalues all lie below tol.psd gets a zero root, so its prefix
+    has no mass left and the sampler raises.
     """
     herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
     vals, vecs = np.linalg.eigh(herm)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collapsekit import AlgebraicState
+from collapsekit import DEFAULT, AlgebraicState, batched_psd_sqrt
 from collapsekit.measurement import observable
 from collapsekit.rational_lp import FeasibilityResult
 
@@ -197,3 +197,31 @@ def reference_joint_unitary(na, nb, da, db):
         u += np.kron(np.kron(basis_proj, transposition(da, i + 1)),
                      transposition(db, j + 1))
     return u
+
+
+def reference_combine(left, right, reverse, tol=DEFAULT):
+    """The entrywise sequential product of two flat effect stacks (L, d, d)
+    and (R, d, d) as one einsum sandwich, with `batched_psd_sqrt` roots
+    (absolute cut at tol.psd); shape (L, R, d, d) in (left, right) order."""
+    if reverse:
+        roots = batched_psd_sqrt(right, tol)
+        return np.einsum("rab,lbc,rcd->lrad", roots, left, roots)
+    roots = batched_psd_sqrt(left, tol)
+    return np.einsum("lab,rbc,lcd->lrad", roots, right, roots)
+
+
+def random_psd_stack(rng, count, dim):
+    """PSD matrices of random rank 1..dim, each with largest eigenvalue 1."""
+    stack = np.empty((count, dim, dim), dtype=np.complex128)
+    for k in range(count):
+        m = rng.normal(size=(dim, rng.integers(1, dim + 1)))
+        m = m + 1j * rng.normal(size=m.shape)
+        x = m @ m.conj().T
+        stack[k] = x / np.linalg.eigvalsh(x)[-1]
+    return stack
+
+
+def degenerate_observable(rng, dim, name, values):
+    """U diag(values) U^H for a random unitary U."""
+    u = random_unitary(rng, dim)
+    return observable(name, (u * np.asarray(values, dtype=float)) @ u.conj().T)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from collapsekit import (
+    DEFAULT,
     AlgebraicState,
     Leaf,
     Node,
@@ -20,10 +21,24 @@ from collapsekit import (
     right_fold_tree,
     sequential_product,
 )
+from collapsekit.collapse_product import JointEffectTable, _combine
 from collapsekit.measurement import observable
-from collapsekit.operator_core import NotPositiveSemidefiniteError, commutator_norm
+from collapsekit.operator_core import (
+    NonHermitianError,
+    NotPositiveSemidefiniteError,
+    commutator_norm,
+)
 
-from conftest import PAULI_X, PAULI_Z, random_density, random_hermitian
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    degenerate_observable,
+    random_density,
+    random_hermitian,
+    random_observable,
+    random_psd_stack,
+    reference_combine,
+)
 
 Z = observable("Z", PAULI_Z)
 X = observable("X", PAULI_X)
@@ -61,6 +76,73 @@ class TestSequentialProduct:
         lhs = sequential_product(x1 + x2, y)
         rhs = sequential_product(x1, y) + sequential_product(x2, y)
         assert np.abs(lhs - rhs).max() > 1e-3
+
+    def test_rejects_non_hermitian_left(self):
+        with pytest.raises(NonHermitianError):
+            sequential_product(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+
+    def test_single_entry_of_the_pair_table(self, rng):
+        for dim, values in ((2, [0, 1]), (5, [0, 0, 1, 2, 2]), (6, np.arange(6))):
+            a = degenerate_observable(rng, dim, "A", values)
+            b = degenerate_observable(rng, dim, "B", values)
+            table = collapse_effect_pair(a, b)
+            for i, p in enumerate(a.projectors):
+                for j, q in enumerate(b.projectors):
+                    out = sequential_product(p, q)
+                    assert np.abs(out - table.effects[i, j]).max() < 1e-15
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n_left, n_right, dim", [(64, 16, 8), (1, 1, 2), (7, 3, 5)])
+    def test_matches_einsum_reference(self, rng, n_left, n_right, dim, reverse):
+        left = random_psd_stack(rng, n_left, dim)
+        right = random_psd_stack(rng, n_right, dim)
+        table = _combine(JointEffectTable([np.arange(n_left)], left),
+                         JointEffectTable([np.arange(n_right)], right),
+                         reverse, DEFAULT)
+        assert table.shape == (n_left, n_right)
+        expected = reference_combine(left, right, reverse)
+        assert np.abs(table.effects - expected).max() < 1e-13
+
+    def test_mixed_tree_matches_reference_recursion(self, rng):
+        obs = [random_observable(rng, 3, name) for name in "ABCD"]
+        tree = Node(Node(Leaf(0), Leaf(1), reverse=True),
+                    Node(Leaf(2), Leaf(3)), reverse=True)
+
+        def reference(t):
+            if isinstance(t, Leaf):
+                return np.stack(obs[t.index].projectors).astype(np.complex128)
+            left, right = reference(t.left), reference(t.right)
+            out = reference_combine(left, right, t.reverse)
+            return out.reshape((-1,) + out.shape[-2:])
+
+        table = collapse_effect_tree(obs, tree)
+        assert np.abs(table.flat_effects() - reference(tree)).max() < 1e-13
+
+    def test_negative_entry_rejected(self):
+        left = JointEffectTable([np.arange(1)], np.diag([-1e-6, 1.0])[None])
+        right = JointEffectTable([np.arange(1)], np.eye(2)[None])
+        for reverse in (False, True):
+            operands = (right, left) if reverse else (left, right)
+            with pytest.raises(NotPositiveSemidefiniteError):
+                _combine(*operands, reverse, DEFAULT)
+
+
+class TestDeepBracketings:
+    def test_n7_degenerate_tables_pass_check(self):
+        # Entries of these tables carry mass below tol.psd: an absolute root
+        # cut drops it and 8 of the 33 tables fail check().
+        rng = np.random.default_rng(2)
+        values = np.repeat(np.arange(4), 2)
+        obs = [degenerate_observable(rng, 8, f"A{k}", values) for k in range(7)]
+        rho = AlgebraicState.maximally_mixed(8)
+        trees = enumerate_bracketings(7)[::4]
+        assert len(trees) == 33
+        for tree in trees:
+            table = collapse_effect_tree(obs, tree)
+            table.check()
+            joint_distribution(table, rho).check()
 
 
 class TestCollapsePair:
