@@ -18,14 +18,24 @@ step-by-step law equals the left-fold effect table.  Conjugating with the raw
 projector at every step instead would reproduce the right-fold table
 (P_1 ... P_n ... P_1), not the left fold.
 
-The root depends on the run only through its outcome prefix, so the step
-sampler keeps one root per distinct prefix: the cost of a step scales with
-the number of distinct prefixes (at most the product of the outcome counts
-so far), not with the number of runs.  Every new root is taken of S P S
-rescaled to unit trace.  The probabilities are scale-free and the root is
-positively homogeneous, so this changes no outcome, but it keeps the PSD
-clamp relative to the prefix's own mass at any chain length.  A prefix whose
-mass vanishes anyway raises `ZeroProbabilityOutcomeError`.
+After the first outcome the accumulated root is a multiple of its projector
+P, and every later root sqrt(S P' S) has its range inside range(S).  So the
+step sampler carries each root, state and projector in an orthonormal basis
+of range(P): r x r matrices for a rank-r first outcome instead of d x d.
+When P has rank one the root is a constant, |v><v|: the later measurements
+then act as commuting (QND) operators, and every later step draws from
+<v|P'|v> alone.  The same holds after any later outcome whose projector has
+rank one.  The rank of a projector is its trace.
+
+Otherwise the root depends on the run only through its outcome prefix, so
+the step sampler keeps one root per distinct prefix: the cost of a step
+scales with the number of distinct prefixes (at most the product of the
+outcome counts so far), not with the number of runs.  A prefix whose root
+has rank one stops branching.  Every new root is taken of S P S rescaled to
+unit trace.  The probabilities are scale-free and the root is positively
+homogeneous, so this changes no outcome, but it keeps the PSD clamp
+relative to the prefix's own mass at any chain length.  A prefix whose mass
+vanishes anyway raises `ZeroProbabilityOutcomeError`.
 """
 
 from __future__ import annotations
@@ -127,13 +137,17 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     conditional state's probabilities, then fold that outcome's projector into
     the accumulated effect root.
 
-    Runs that share an outcome prefix share one root, so a step costs one
-    eigensolve per distinct (prefix, outcome) pair, however many runs there
-    are.  Each root is taken of S P S rescaled to unit trace, which leaves
-    the outcomes unchanged and keeps the tol.psd clamp relative to the
-    prefix's own mass.  A prefix whose conditional mass vanishes (below
-    tol.prob of the root's own scale) raises `ZeroProbabilityOutcomeError`
-    instead of forcing an outcome.
+    Every root lives on the range of the first outcome's projector, so
+    roots are r x r for a first outcome of rank r.  Runs that share an
+    outcome prefix share one root, so a step costs one eigensolve per
+    distinct (prefix, outcome) pair, however many runs there are.  Once a
+    prefix includes an outcome of rank one, its root is fixed at |u><u| and
+    its runs draw each later outcome from <u|P|u>: for a non-degenerate
+    first observable no eigensolve follows the first step.  Each root is taken of
+    S P S rescaled to unit trace, which leaves the outcomes unchanged and
+    keeps the tol.psd clamp relative to the prefix's own mass.  A prefix
+    whose conditional mass vanishes (below tol.prob of the root's own scale)
+    raises `ZeroProbabilityOutcomeError` instead of forcing an outcome.
 
     Returns outcome indices of shape (runs, n)."""
     if spec.convention != "left_fold":
@@ -158,6 +172,50 @@ def _require_mass(mass: np.ndarray, floor) -> None:
         )
 
 
+def _ranks(projs: np.ndarray) -> np.ndarray:
+    """The rank of each projector of a stack: its trace."""
+    return np.rint(np.einsum("jaa->j", projs).real)
+
+
+def _draw(roots, states, projs, group, u, tol: Tolerances) -> np.ndarray:
+    """One step of every run: the outcome its uniform selects by inverse CDF
+    from its group's conditional probabilities.
+
+    Group g has the accumulated root roots[g], the state states[g] and the
+    projector stack projs[g], all in one frame; group[r] is run r's group."""
+    conditional = roots @ states @ roots
+    probs = np.clip(np.einsum("gab,gjba->gj", conditional, projs).real, 0.0, None)
+    mass = probs.sum(axis=1)
+    # Tr[S rho S] against Tr[S S]: unchanged when S is rescaled.
+    scale = np.einsum("gab,gab->g", roots, roots.conj()).real
+    _require_mass(mass, tol.prob * scale)
+    cum = np.cumsum(probs / mass[:, None], axis=1)
+    # The outcome is the number of interior CDF boundaries at or below u,
+    # gathered boundary by boundary so each row of the comparison is one
+    # contiguous pass over the runs.
+    inner = np.ascontiguousarray(cum[:, :-1].T)
+    return (np.take(inner, group, axis=1) <= u).sum(axis=0)
+
+
+def _regroup(group, idx, branches, n_outcomes):
+    """Regroup runs by (group, outcome); a group that no longer branches
+    keeps all its runs.  Returns the runs' new groups and each new group's
+    parent group and outcome (0 where the parent does not branch).  The key
+    range is at most groups * n_outcomes, so a lookup table replaces a sort."""
+    keys = group * n_outcomes + idx
+    seen = np.zeros((len(branches), n_outcomes), dtype=bool)
+    seen.reshape(-1)[keys] = True
+    seen[~branches] = np.arange(n_outcomes) == 0
+    parent, last = np.divmod(np.flatnonzero(seen), n_outcomes)
+    return (np.cumsum(seen) - 1)[keys], parent, last
+
+
+def _unit_trace(grown: np.ndarray) -> np.ndarray:
+    trace = np.einsum("gaa->g", grown).real
+    _require_mass(trace, 0.0)        # never divide by a rounded-off zero
+    return grown / trace[:, None, None]
+
+
 def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
                     root: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The step sampler's draws from an initial accumulated root `root`.
@@ -165,35 +223,42 @@ def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
     stacks[k] is the (n_k, d, d) projector stack of step k; row r of
     `uniforms` drives run r by inverse CDF over the outcomes in order."""
     runs, n = uniforms.shape
-    roots = root[None]                           # one root per distinct prefix
-    group = np.zeros(runs, dtype=np.int64)       # run -> its prefix's root
     outcomes = np.empty((runs, n), dtype=np.int64)
-    for k, projs in enumerate(stacks):
-        conditional = roots @ density @ roots
-        probs = np.clip(np.einsum("gab,iba->gi", conditional, projs).real, 0.0, None)
-        mass = probs.sum(axis=1)
-        # Tr[S rho S] against Tr[S S]: unchanged when S is rescaled.
-        scale = np.einsum("gab,gab->g", roots, roots.conj()).real
-        _require_mass(mass, tol.prob * scale)
-        cum = np.cumsum(probs / mass[:, None], axis=1)
-        # The outcome is the number of interior CDF boundaries at or below u.
-        idx = (cum[group, :-1] <= uniforms[:, k, None]).sum(axis=1)
+    first = stacks[0]
+    group = np.zeros(1, dtype=np.int64)     # one group, broadcast over the runs
+    idx = _draw(root[None], density[None], first[None], group, uniforms[:, 0], tol)
+    outcomes[:, 0] = idx
+    if n == 1:
+        return outcomes
+    # One group per first outcome drawn.  Its roots stay inside the range of
+    # R P R (R = root, P its projector), which the top eigenvectors of R P R
+    # span: the group's frame, as wide as the largest rank drawn.
+    group, _, drawn = _regroup(group, idx, np.ones(1, dtype=bool), len(first))
+    rank = _ranks(first)[drawn]
+    width = int(rank.max())
+    vals, vecs = np.linalg.eigh(_unit_trace(root @ first[drawn] @ root))
+    frames = vecs[..., -width:]
+    adjoint = frames.conj().swapaxes(1, 2)
+    states = adjoint @ density @ frames
+    # R P R in its frame is diagonal: I_r / r for R = I.
+    eye = np.eye(width, dtype=np.complex128)
+    roots = batched_psd_sqrt(eye * vals[:, None, -width:], tol)
+    home = np.arange(len(drawn))             # group -> its first outcome's frame
+    # A root of rank one stays |u><u| for ever, so its group stops branching.
+    branches = rank > 1
+    for k in range(1, n):
+        projs = adjoint[:, None] @ stacks[k] @ frames[:, None]
+        idx = _draw(roots, states[home], projs[home], group, uniforms[:, k], tol)
         outcomes[:, k] = idx
-        if k + 1 == n:
-            break
-        # Regroup runs by (prefix, outcome); the key range is at most
-        # runs * n_k, so a lookup table replaces a sort.
-        keys = group * len(projs) + idx
-        seen = np.zeros(len(roots) * len(projs), dtype=bool)
-        seen[keys] = True
-        group = (np.cumsum(seen) - 1)[keys]
-        parent, last = np.divmod(np.flatnonzero(seen), len(projs))
-        grown = roots[parent]
-        grown = grown @ projs[last] @ grown
-        trace = np.einsum("gaa->g", grown).real
-        _require_mass(trace, 0.0)        # never divide by a rounded-off zero
-        grown /= trace[:, None, None]
-        roots = batched_psd_sqrt(grown, tol)
+        if k + 1 == n or not branches.any():
+            continue
+        group, parent, last = _regroup(group, idx, branches, len(stacks[k]))
+        grow = branches[parent]
+        branches = grow & (_ranks(stacks[k])[last] > 1)
+        home, roots = home[parent], roots[parent]
+        s = roots[grow]
+        grown = s @ projs[home[grow], last[grow]] @ s
+        roots[grow] = batched_psd_sqrt(_unit_trace(grown), tol)
     return outcomes
 
 

@@ -152,33 +152,25 @@ def spectral_decompose(
 
 
 def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """The unique positive semi-definite square root of a PSD matrix.
+    """The unique positive semi-definite square root of a PSD matrix: the
+    single-matrix case of `batched_psd_sqrt`, after `require_hermitian`.
 
     Every eigenvalue below tol.psd, positive ones included, is set to zero
     before the root; anything below -tol.psd raises
     `NotPositiveSemidefiniteError`.
     """
-    m = require_hermitian(q, tol)
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -tol.psd:
-        raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {vals[0]:.3e} below -{tol.psd:.1e}"
-        )
-    # Eigenvalues inside the PSD slack are indistinguishable from zero; clamp
-    # them before the root so sqrt does not amplify eigensolver noise.
-    clamped = np.where(vals < tol.psd, 0.0, vals)
-    root = vecs * np.sqrt(clamped) @ vecs.conj().T
-    return 0.5 * (root + root.conj().T)
+    return batched_psd_sqrt(require_hermitian(q, tol), tol)
 
 
 def batched_psd_sqrt(stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """PSD square roots of a stack (..., d, d) of Hermitian matrices.
 
-    Eigenvalues below tol.psd are clamped to zero, as in `psd_sqrt`; any
-    eigenvalue below -tol.psd raises `NotPositiveSemidefiniteError`.  The cut
-    stays absolute because the step sampler relies on it: a unit-trace effect
-    whose eigenvalues all lie below tol.psd gets a zero root, so its prefix
-    has no mass left and the sampler raises.
+    Eigenvalues below tol.psd are clamped to zero, so the root does not
+    amplify eigensolver noise; any eigenvalue below -tol.psd raises
+    `NotPositiveSemidefiniteError`.  The cut stays absolute because the step
+    sampler relies on it: a unit-trace effect whose eigenvalues all lie below
+    tol.psd gets a zero root, so its prefix has no mass left and the sampler
+    raises.
     """
     herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
     vals, vecs = np.linalg.eigh(herm)

@@ -22,6 +22,7 @@ from conftest import (
     PAULI_X,
     PAULI_Z,
     assert_same_draws,
+    degenerate_observable,
     direction_observable,
     philox_uniforms,
     random_density,
@@ -234,3 +235,67 @@ class TestLongChains:
         assert np.all(outcomes == outcomes[:, :1])
         with pytest.raises(ZeroProbabilityOutcomeError):
             sample_chain_leftfold(spec, rho, 100, Tolerances(psd=0.6))
+
+
+def pair_table(first_obs, later_obs, rho):
+    """p(i_1, i_k) of the left fold for a non-degenerate first observable:
+    Tr[rho P_i1] <v_i1|P_kj|v_i1>, with v_i1 spanning the range of P_i1."""
+    table = np.empty((first_obs.n_outcomes, later_obs.n_outcomes))
+    for i, p in enumerate(first_obs.projectors):
+        v = np.linalg.eigh(p)[1][:, -1]
+        first = np.trace(rho.density @ p).real
+        table[i] = [first * (v.conj() @ q @ v).real for q in later_obs.projectors]
+    return table
+
+
+class TestFirstOutcomeRange:
+    # Every root lives on the range of the first outcome's projector; a
+    # rank-one outcome fixes the root for the rest of the chain.
+
+    def test_mixed_rank_first_d6(self):
+        rng = np.random.default_rng(123456)
+        first = degenerate_observable(rng, 6, "F", [0, 1, 1, 2, 2, 2])
+        later = [degenerate_observable(rng, 6, "L0", [0, 1, 2, 2, 3, 3]),
+                 degenerate_observable(rng, 6, "L1", [0, 0, 0, 1, 1, 1]),
+                 degenerate_observable(rng, 6, "L2", np.arange(6))]
+        check_against_reference(ChainSpec([first] + later, 14, seed=654321),
+                                random_density(rng, 6), runs=2000)
+
+    def test_degenerate_first_d8_n32(self):
+        rng = np.random.default_rng(8032)
+        base = random_unitary(rng, 8)
+        spectra = [np.repeat(np.arange(4.0), 2), np.repeat(np.arange(2.0), 4),
+                   np.repeat(np.arange(4.0), 2)]
+        bases = [base] + [base @ near_unbiased_basis(rng, 8, 0.1) for _ in range(2)]
+        observables = [observable(f"D{i}", (u * s) @ u.conj().T)
+                       for i, (u, s) in enumerate(zip(bases, spectra))]
+        check_against_reference(ChainSpec(observables, 32, seed=8032),
+                                random_density(rng, 8), runs=300)
+
+    def test_vanished_mass_rank_one_first(self):
+        # A rank-one first outcome leaves the unit-trace effect [1] on its
+        # range; a PSD slack above 1 clamps its root to zero, so the prefix
+        # carries no mass.
+        spec = ChainSpec([Z, X], 3, seed=5)
+        sample_chain_leftfold(spec, MIXED, 100, Tolerances(psd=0.9))
+        with pytest.raises(ZeroProbabilityOutcomeError):
+            sample_chain_leftfold(spec, MIXED, 100, Tolerances(psd=1.5))
+
+    def test_pair_frequencies_past_table_limit(self):
+        # n = 60 is far beyond the exact table, but for a non-degenerate
+        # first observable each (i_1, i_k) pair has a closed form.
+        runs = 20_000
+        rng = np.random.default_rng(60)
+        first = degenerate_observable(rng, 3, "F", [0, 1, 2])
+        later = [degenerate_observable(rng, 3, "L0", [0, 1, 1]),
+                 degenerate_observable(rng, 3, "L1", [0, 1, 2])]
+        spec = ChainSpec([first] + later, 60, seed=60)
+        rho = random_density(rng, 3)
+        outcomes = sample_chain_leftfold(spec, rho, runs)
+        sequence = spec.sequence()
+        for k in (1, 32, 58):
+            expected = pair_table(first, sequence[k], rho).ravel() * runs
+            pairs = outcomes[:, 0] * sequence[k].n_outcomes + outcomes[:, k]
+            observed = np.bincount(pairs, minlength=len(expected))
+            chi2 = float(((observed - expected) ** 2 / expected).sum())
+            assert stats.chi2.sf(chi2, len(expected) - 1) > 1e-3
