@@ -30,13 +30,15 @@ from .measurement import (
     POVM,
     AlgebraicState,
     Observable,
-    _clamp_probabilities,
+    clamp_probabilities,
+    povm_from_mixture,
 )
 from .operator_core import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     as_matrix,
     max_entry_norm,
+    require_effects,
     require_hermitian,
 )
 
@@ -204,11 +206,7 @@ class JointEffectTable:
         return float(np.linalg.eigvalsh(herm)[..., 0].min())
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
-        lowest = self.min_eigenvalue()
-        if lowest < -tol.psd:
-            raise NotPositiveSemidefiniteError(f"effect eigenvalue {lowest:.3e}")
-        if max_entry_norm(self.total() - np.eye(self.dim)) > tol.num:
-            raise ValueError("effects do not sum to the identity")
+        require_effects(self.flat_effects(), tol)
 
 
 def _sandwich(xs: np.ndarray, ys: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -309,25 +307,13 @@ def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,
     """
     ka = np.asarray(kappa_a, dtype=float)
     kb = np.asarray(kappa_b, dtype=float)
-    stack = np.stack([np.asarray(q, dtype=np.complex128) for q in qs])
-    dim = stack.shape[-1]
-    if ka.shape != (len(qs), len(e_a.sample_points)):
-        raise ValueError("kappa_A table shape mismatch")
-    if kb.shape != (len(qs), len(e_b.sample_points)):
-        raise ValueError("kappa_B table shape mismatch")
-    if ka.min() < 0 or kb.min() < 0:
-        raise ValueError("negative kappa entry")
-    for kap in (ka, kb):
-        if np.any(np.abs(kap.sum(axis=1) - 1.0) > tol.num):
-            raise ValueError("kappa rows must be normalized measures")
-    if max_entry_norm(stack.sum(axis=0) - np.eye(dim)) > tol.num:
-        raise ValueError("Q operators do not sum to the identity")
-    # Both POVMs must actually be the stated mixtures of the shared Q set.
+    # Each POVM must be the stated mixture; the rebuild validates kappa and Q.
     for povm, kap, label in ((e_a, ka, "A"), (e_b, kb, "B")):
-        rebuilt = np.einsum("lx,lab->xab", kap, stack)
-        given = np.stack([np.asarray(e, dtype=np.complex128) for e in povm.effects])
-        if max_entry_norm(rebuilt - given) > tol.num:
+        rebuilt = np.stack(povm_from_mixture(kap, qs, povm.sample_points, tol).effects)
+        given = np.asarray(povm.effects, dtype=np.complex128)
+        if given.shape != rebuilt.shape or max_entry_norm(rebuilt - given) > tol.num:
             raise ValueError(f"POVM {label} is not the stated mixture of the Q set")
+    stack = np.stack([np.asarray(q, dtype=np.complex128) for q in qs])
     core = _sandwich(stack, stack, tol)
     out = np.einsum("lx,my,lmab->xyab", ka, kb, core)
     axes = [np.arange(len(e_a.sample_points)), np.arange(len(e_b.sample_points))]
@@ -374,7 +360,7 @@ def joint_distribution(effects: JointEffectTable, rho: AlgebraicState,
     if effects.dim != rho.dim:
         raise DimensionMismatchError("effects/state dimension mismatch")
     raw = np.einsum("ab,...ba->...", rho.density, effects.effects).real
-    probs = _clamp_probabilities(raw.ravel(), tol).reshape(raw.shape)
+    probs = clamp_probabilities(raw.ravel(), tol).reshape(raw.shape)
     return JointDistribution(list(effects.axes), probs)
 
 

@@ -4,8 +4,10 @@ A measurement is implemented by a controlled pointer shift: the unitary
 U = sum_i P_i (x) S_i, where S_i is the ancilla transposition exchanging the
 ready pointer |0> with the outcome pointer |i+1>.  On the defining slice this
 gives U (|a_i> (x) |ready>) = |a_i> (x) |pointer_i>; the completion on the
-unused subspace is unitary by construction and never affects the extracted
-probabilities.
+unused subspace never affects the extracted probabilities.  With Hermitian
+P_i, U^H U - I = (sum_i P_i - I) (x) I + sum_ij (P_i P_j - delta_ij P_i) (x) S_i S_j,
+so U is unitary exactly when {P_i} is a PVM: `require_projectors` certifies
+it without forming U^H U.
 
 Two instruments in sequence act on a (system, pointer A, pointer B) tensor:
 each one's own unitary, reshaped to (system, pointer, system, pointer), is
@@ -21,8 +23,8 @@ import numpy as np
 
 from .collapse_product import JointDistribution
 from .config import DEFAULT, Tolerances
-from .measurement import Observable, VectorState
-from .operator_core import DimensionMismatchError, max_entry_norm
+from .measurement import Observable, VectorState, clamp_probabilities
+from .operator_core import DimensionMismatchError
 
 __all__ = [
     "Instrument",
@@ -41,11 +43,6 @@ __all__ = [
 def _exchange_ready(pointer: np.ndarray, target: int | np.ndarray) -> np.ndarray:
     """Pointer indices after exchanging the ready pointer 0 with `target`."""
     return np.where(pointer == 0, target, np.where(pointer == target, 0, pointer))
-
-
-def _transposition(dim: int, k: int) -> np.ndarray:
-    """Permutation matrix exchanging basis states 0 and k."""
-    return np.eye(dim, dtype=np.complex128)[_exchange_ready(np.arange(dim), k)]
 
 
 @dataclass(frozen=True)
@@ -77,18 +74,17 @@ def build_instrument(a: Observable, ancilla_dim: int,
     """Controlled pointer-shift unitary for one observable.
 
     Requires ancilla_dim >= n_outcomes + 1 (ready pointer plus one pointer per
-    outcome).  Degenerate eigenspaces share a pointer."""
+    outcome).  Degenerate eigenspaces share a pointer; the projectors must be
+    a PVM, which makes U unitary."""
     if ancilla_dim < a.n_outcomes + 1:
         raise ValueError(
             f"ancilla dim {ancilla_dim} < {a.n_outcomes + 1} (outcomes + ready)"
         )
-    u = np.zeros((a.dim * ancilla_dim,) * 2, dtype=np.complex128)
-    for i, proj in enumerate(a.projectors):
-        u += np.kron(proj, _transposition(ancilla_dim, i + 1))
-    residual = max_entry_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if residual > tol.num:
-        raise ValueError(f"pointer unitary residual {residual:.3e}")
-    return Instrument(a, ancilla_dim, u)
+    a.decomposition.check(tol)
+    exchanges = np.eye(ancilla_dim)[_exchange_ready(
+        np.arange(ancilla_dim), np.arange(1, a.n_outcomes + 1)[:, None])]
+    u = np.einsum("iab,ikl->akbl", np.stack(a.projectors), exchanges)
+    return Instrument(a, ancilla_dim, u.reshape(a.dim * ancilla_dim, -1))
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,9 @@ def _pointer_readout(final: np.ndarray, na: int, nb: int,
                      tol: Tolerances) -> np.ndarray:
     """Probabilities of pointer pairs (i+1, j+1) in a (system, pointer A,
     pointer B) tensor, renormalised after checking they sum to one."""
-    probs = np.sum(np.abs(final[:, 1:na + 1, 1:nb + 1]) ** 2, axis=0)
-    total_p = probs.sum()
-    if abs(total_p - 1.0) > tol.num:
-        raise ValueError(f"pointer probabilities sum to {total_p!r}")
-    return probs / total_p
+    return clamp_probabilities(
+        np.sum(np.abs(final[:, 1:na + 1, 1:nb + 1]) ** 2, axis=0), tol
+    )
 
 
 def sequential_probabilities(model: InstrumentModel, psi: VectorState,

@@ -19,9 +19,9 @@ from .operator_core import (
     NotPositiveSemidefiniteError,
     SpectralDecomposition,
     as_matrix,
-    is_psd,
-    max_entry_norm,
+    require_effects,
     require_hermitian,
+    require_projectors,
     spectral_decompose,
 )
 
@@ -40,6 +40,7 @@ __all__ = [
     "pvm_from_observable",
     "discretize_observable",
     "povm_from_mixture",
+    "clamp_probabilities",
 ]
 
 
@@ -153,16 +154,7 @@ class PVM:
             raise ValueError("sample point / projector count mismatch")
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
-        dim = self.projectors[0].shape[0]
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for i, p in enumerate(self.projectors):
-            total += p
-            for j, q in enumerate(self.projectors):
-                target = p if i == j else 0.0
-                if max_entry_norm(p @ q - target) > tol.num:
-                    raise ValueError(f"projectors {i},{j} fail orthogonality")
-        if max_entry_norm(total - np.eye(dim)) > tol.num:
-            raise ValueError("projectors do not sum to identity")
+        require_projectors(self.projectors, tol)
 
 
 @dataclass(frozen=True)
@@ -181,18 +173,12 @@ class POVM:
             raise ValueError("sample point / effect count mismatch")
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
-        dim = self.effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for k, e in enumerate(self.effects):
-            if not is_psd(e, tol):
-                raise NotPositiveSemidefiniteError(f"effect {k} is not PSD")
-            total += e
-        if max_entry_norm(total - np.eye(dim)) > tol.num:
-            raise ValueError("effects do not sum to identity")
+        require_effects(self.effects, tol)
 
 
-def _clamp_probabilities(raw: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Clamp tiny negatives from floating eigensolves to 0 and renormalize."""
+def clamp_probabilities(raw: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Clamp tiny negatives from floating eigensolves to 0 and renormalize;
+    raise if an entry is below -tol.num or the sum is off 1 by over tol.num."""
     if raw.min() < -tol.num:
         raise ValueError(f"probability {raw.min():.3e} below -{tol.num:.1e}")
     p = np.clip(raw, 0.0, None)
@@ -209,7 +195,7 @@ def probability_density(
     if a.dim != rho.dim:
         raise DimensionMismatchError("observable/state dimension mismatch")
     raw = np.array([rho.expect(p).real for p in a.projectors])
-    probs = _clamp_probabilities(raw, tol)
+    probs = clamp_probabilities(raw, tol)
     return list(zip(a.sample_space.tolist(), probs.tolist()))
 
 
@@ -320,25 +306,13 @@ def povm_from_mixture(kappas, qs, sample_points=None, tol: Tolerances = DEFAULT)
     row_sums = kap.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > tol.num):
         raise ValueError("each kappa row must be a normalized measure")
-    qs = [require_hermitian(q, tol) for q in qs]
-    dim = qs[0].shape[0]
-    for k, q in enumerate(qs):
-        if not is_psd(q, tol):
-            raise NotPositiveSemidefiniteError(f"Q_{k} is not PSD")
-    total_q = sum(qs[1:], qs[0].copy())
-    if max_entry_norm(total_q - np.eye(dim)) > tol.num:
-        raise ValueError("Q operators do not sum to the identity")
+    stack = require_effects(qs, tol)
     n_points = kap.shape[1]
     if sample_points is None:
         sample_points = list(range(n_points))
     if len(sample_points) != n_points:
         raise ValueError("sample point count does not match the kappa table")
-    effects = []
-    for x in range(n_points):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        for lam in range(len(qs)):
-            e += kap[lam, x] * qs[lam]
-        effects.append(e)
-    povm = POVM(list(sample_points), effects)
+    effects = np.einsum("lx,lab->xab", kap, stack)
+    povm = POVM(list(sample_points), list(effects))
     povm.check(tol)
     return povm

@@ -2,6 +2,10 @@
 with first-class degeneracy handling, PSD square roots, and projector
 arithmetic.
 
+One check per operator family, each over the family as one (n, d, d)
+stack: `require_effects` (POVMs, Q sets, effect tables) and
+`require_projectors` (PVMs, spectral decompositions).
+
 Everything here is a pure function over immutable numpy arrays; matrices are
 dense complex128 and desk-scale (dim <= 64 by intent, not enforcement).
 """
@@ -21,6 +25,8 @@ __all__ = [
     "SpectralDecomposition",
     "as_matrix",
     "require_hermitian",
+    "require_effects",
+    "require_projectors",
     "spectral_decompose",
     "psd_sqrt",
     "batched_psd_sqrt",
@@ -70,6 +76,53 @@ def require_hermitian(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _family(operators, tol: Tolerances, what: str) -> np.ndarray:
+    """A finite, non-empty (n, d, d) stack of operators, each Hermitian as
+    `require_hermitian` demands, summing to I; returned exactly symmetrized."""
+    stack = np.asarray(operators, dtype=np.complex128)
+    if (stack.ndim != 3 or min(stack.shape) < 1 or stack.shape[1] != stack.shape[2]
+            or not np.isfinite(stack).all()):
+        raise ValueError(f"expected a finite non-empty (n, d, d) stack, got shape {stack.shape}")
+    adjoint = np.conj(np.swapaxes(stack, -1, -2))
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    bad = np.flatnonzero(np.abs(stack - adjoint).max(axis=(1, 2)) > tol.herm * scale)
+    if bad.size:
+        raise NonHermitianError(f"{what} {bad.tolist()} not Hermitian within {tol.herm:.1e}")
+    stack = 0.5 * (stack + adjoint)
+    residual = max_entry_norm(stack.sum(axis=0) - np.eye(stack.shape[-1]))
+    if residual > tol.num:
+        raise ValueError(f"{what} do not sum to the identity (residual {residual:.3e})")
+    return stack
+
+
+def require_effects(operators, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Validate a family of effects and return it as one (n, d, d) stack,
+    exactly symmetrized: each Hermitian within tol.herm, PSD within tol.psd,
+    and all summing to I within tol.num."""
+    stack = _family(operators, tol, "effects")
+    lowest = np.linalg.eigvalsh(stack)[:, 0]
+    if lowest.min() < -tol.psd:
+        raise NotPositiveSemidefiniteError(
+            f"effect {lowest.argmin()} has eigenvalue {lowest.min():.3e} below -{tol.psd:.1e}"
+        )
+    return stack
+
+
+def require_projectors(operators, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Validate a PVM and return it as one (n, d, d) stack, exactly
+    symmetrized: each Hermitian within tol.herm (else oblique idempotents
+    pass), P_i P_j = delta_ij P_i and all summing to I within tol.num."""
+    stack = _family(operators, tol, "projectors")
+    for i, p in enumerate(stack):
+        products = p @ stack
+        products[i] -= p
+        residual = np.abs(products).max(axis=(1, 2))
+        if residual.max() > tol.num:
+            raise ValueError(f"projectors {i},{residual.argmax()} not orthogonal/"
+                             f"idempotent (residual {residual.max():.3e})")
+    return stack
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct (clustered) eigenvalues with their orthogonal projectors.
@@ -103,17 +156,8 @@ class SpectralDecomposition:
         return out
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
-        """Raise if orthogonality or completeness fails."""
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for i, p in enumerate(self.projectors):
-            total += p
-            for j, q in enumerate(self.projectors):
-                prod = p @ q
-                target = p if i == j else 0.0
-                if max_entry_norm(prod - target) > tol.num:
-                    raise ValueError(f"projectors {i},{j} not orthogonal/idempotent")
-        if max_entry_norm(total - np.eye(self.dim)) > tol.num:
-            raise ValueError("projectors do not sum to the identity")
+        """Raise unless the projectors are a PVM (`require_projectors`)."""
+        require_projectors(self.projectors, tol)
 
 
 def _cluster(sorted_vals: np.ndarray, gap: float) -> list:

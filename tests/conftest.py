@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collapsekit import DEFAULT, AlgebraicState, batched_psd_sqrt
+from collapsekit import DEFAULT, AlgebraicState, batched_psd_sqrt, is_psd
 from collapsekit.measurement import observable
+from collapsekit.operator_core import NotPositiveSemidefiniteError
 from collapsekit.rational_lp import FeasibilityResult
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -225,3 +226,43 @@ def degenerate_observable(rng, dim, name, values):
     """U diag(values) U^H for a random unitary U."""
     u = random_unitary(rng, dim)
     return observable(name, (u * np.asarray(values, dtype=float)) @ u.conj().T)
+
+
+def reference_pvm_check(projectors, tol=DEFAULT):
+    """The projector-family check as a pairwise Python loop: P_i P_j =
+    delta_ij P_i and the family sums to I within tol.num.  It has no
+    Hermiticity condition, so oblique idempotents pass it."""
+    dim = projectors[0].shape[0]
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for i, p in enumerate(projectors):
+        total += p
+        for j, q in enumerate(projectors):
+            target = p if i == j else 0.0
+            if np.abs(p @ q - target).max() > tol.num:
+                raise ValueError(f"projectors {i},{j} fail orthogonality")
+    if np.abs(total - np.eye(dim)).max() > tol.num:
+        raise ValueError("projectors do not sum to identity")
+
+
+def reference_povm_check(effects, tol=DEFAULT):
+    """The effect-family check as a per-effect loop: `is_psd` on each effect
+    (which also requires it Hermitian), then the sum to I within tol.num."""
+    dim = effects[0].shape[0]
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for k, e in enumerate(effects):
+        if not is_psd(e, tol):
+            raise NotPositiveSemidefiniteError(f"effect {k} is not PSD")
+        total += e
+    if np.abs(total - np.eye(dim)).max() > tol.num:
+        raise ValueError("effects do not sum to identity")
+
+
+def reference_instrument_unitary(projectors, ancilla_dim):
+    """A pointer instrument's U = sum_i P_i (x) T(i+1) as a sum of Kronecker
+    products, where T(k) exchanges the ready pointer 0 with pointer k."""
+    u = 0
+    for i, proj in enumerate(projectors):
+        t = np.eye(ancilla_dim, dtype=np.complex128)
+        t[[0, i + 1]] = t[[i + 1, 0]]
+        u = u + np.kron(proj, t)
+    return u

@@ -10,7 +10,7 @@ from collapsekit.collapse_product import (
     collapse_effect_tree,
     joint_distribution,
 )
-from collapsekit.io import dump_document, load_document
+from collapsekit.io import DocumentError, dump_document, load_document
 from collapsekit.measurement import AlgebraicState, observable
 
 from conftest import PAULI_Z
@@ -335,3 +335,25 @@ class TestDocumentRoundTrip:
         out.write_text(dump_document(rho))
         rho2 = load_document(str(out), expect="state")
         assert np.abs(rho.density - rho2.density).max() == 0.0
+
+
+class TestPovmDocuments:
+    def test_round_trip(self, tmp_path):
+        doc = {"kind": "povm", "sample_points": [0, 1],
+               "effects": [[[0.25, 0.0], [0.0, 0.5]], [[0.75, 0.0], [0.0, 0.5]]]}
+        povm = load_document(write(tmp_path / "povm.json", doc), expect="povm")
+        out = tmp_path / "povm2.json"
+        out.write_text(dump_document(povm))
+        again = load_document(str(out), expect="povm")
+        assert np.array_equal(np.stack(again.effects), np.stack(povm.effects))
+
+    def test_empty_povm_is_a_document_error(self, tmp_path):
+        doc = {"kind": "povm", "sample_points": [], "effects": []}
+        with pytest.raises(DocumentError, match="shape"):
+            load_document(write(tmp_path / "empty.json", doc))
+
+    def test_effects_of_mixed_sizes_are_a_document_error(self, tmp_path):
+        doc = {"kind": "povm", "sample_points": [0, 1],
+               "effects": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]}
+        with pytest.raises(DocumentError):
+            load_document(write(tmp_path / "mixed.json", doc))

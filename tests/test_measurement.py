@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from collapsekit import (
+    DEFAULT,
     AlgebraicState,
     VectorState,
     characteristic_function,
@@ -12,7 +13,11 @@ from collapsekit import (
     probability_density,
     pvm_from_observable,
 )
-from collapsekit.measurement import ZeroProbabilityOutcomeError, observable
+from collapsekit.measurement import (
+    ZeroProbabilityOutcomeError,
+    clamp_probabilities,
+    observable,
+)
 
 from conftest import PAULI_X, PAULI_Z, random_density, random_hermitian
 
@@ -228,3 +233,22 @@ class TestPovmFromMixture:
             povm_from_mixture(np.eye(2), [np.eye(2), np.eye(2)])    # Qs exceed identity
         with pytest.raises(ValueError):
             povm_from_mixture(np.array([[-0.1, 1.1]]), [np.eye(2)])
+
+
+class TestClampProbabilities:
+    def test_born_weights_only_renormalised(self, rng):
+        # Nonnegative input is divided by its sum, bit for bit.
+        for shape in ((5,), (3, 4)):
+            amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            raw = np.abs(amplitudes / np.linalg.norm(amplitudes)) ** 2
+            assert np.array_equal(clamp_probabilities(raw, DEFAULT), raw / raw.sum())
+
+    def test_tiny_negative_clamped(self):
+        probs = clamp_probabilities(np.array([0.5, 0.5, -1e-12]), DEFAULT)
+        assert np.array_equal(probs, [0.5, 0.5, 0.0])
+
+    def test_rejects_negative_and_unnormalised(self):
+        with pytest.raises(ValueError, match="below"):
+            clamp_probabilities(np.array([1.1, -0.1]), DEFAULT)
+        with pytest.raises(ValueError, match="sum to"):
+            clamp_probabilities(np.array([0.5, 0.4]), DEFAULT)
