@@ -122,8 +122,8 @@ class OutcomeRecord:
 
 def records(outcomes: np.ndarray):
     """View a (runs, n) outcome-index array as OutcomeRecord objects."""
-    for r, row in enumerate(outcomes):
-        yield OutcomeRecord(r, tuple(int(v) for v in row))
+    for r, row in enumerate(outcomes.tolist()):
+        yield OutcomeRecord(r, tuple(row))
 
 
 def _uniform_block(seed: int, runs: int, n: int) -> np.ndarray:
@@ -159,9 +159,8 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     if any(obs.dim != d for obs in sequence):
         raise ValueError("observable/state dimension mismatch")
     uniforms = _uniform_block(spec.seed, runs, spec.length)
-    stacks = [np.stack(obs.projectors) for obs in sequence]
-    return _leftfold_draws(stacks, rho0.density, uniforms,
-                           np.eye(d, dtype=np.complex128), tol)
+    return _leftfold_draws([obs.projectors for obs in sequence], rho0.density,
+                           uniforms, np.eye(d, dtype=np.complex128), tol)
 
 
 def _require_mass(mass: np.ndarray, floor) -> None:

@@ -22,7 +22,6 @@ from .collapse_product import (
     FOLD_TREES,
     catalan,
     collapse_effect_tree,
-    enumerate_bracketings,
     joint_distribution,
 )
 from .config import DEFAULT, Tolerances
@@ -55,12 +54,11 @@ def _emit(payload: dict, fmt: str) -> None:
         return
     for key, value in payload.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
-            if value:
-                cols = list(value[0])
-                print(f"{key}:")
-                print("  " + "\t".join(cols))
-                for row in value:
-                    print("  " + "\t".join(str(row[c]) for c in cols))
+            cols = list(value[0])
+            print(f"{key}:")
+            print("  " + "\t".join(cols))
+            for row in value:
+                print("  " + "\t".join(str(row[c]) for c in cols))
         else:
             print(f"{key}: {value}")
 
@@ -113,7 +111,7 @@ def _dist_rows(dist) -> list:
 def cmd_decompose(args, tol) -> int:
     obs = load_document(args.file, tol, expect="observable")
     decomp = spectral_decompose(obs.matrix(), args.gap, tol) if args.gap else obs.decomposition
-    ranks = [int(round(np.trace(p).real)) for p in decomp.projectors]
+    ranks = np.rint(np.trace(decomp.projectors, axis1=1, axis2=2).real).astype(int).tolist()
     _emit({
         "eigenvalues": [_fmt(v) for v in decomp.eigenvalues],
         "ranks": ranks,
@@ -212,8 +210,7 @@ def cmd_chain(args, tol) -> int:
         exact = chain_mod.exact_chain_distribution(spec, state, tol)
         outcomes = chain_mod.sample_distribution(exact, spec.seed, args.runs)
     if args.emit_records:
-        for record in chain_mod.records(outcomes):
-            print(record.line())
+        print("".join(r.line() + "\n" for r in chain_mod.records(outcomes)), end="")
         return EXIT_OK
     convention = str(spec.convention)
     try:
@@ -243,10 +240,7 @@ def cmd_chain(args, tol) -> int:
 
 
 def cmd_brackets(args, tol) -> int:
-    rows = []
-    for n in range(1, args.n + 1):
-        count = len(enumerate_bracketings(n)) if n <= 12 else catalan(n)
-        rows.append({"n": n, "bracketings": count})
+    rows = [{"n": n, "bracketings": catalan(n)} for n in range(1, args.n + 1)]
     _emit({"rows": rows}, args.format)
     return EXIT_OK
 

@@ -169,6 +169,12 @@ FOLD_TREES = {
 # effect tables
 # --------------------------------------------------------------------------
 
+def _tuples(axes: list) -> list:
+    """The outcome tuples of a product sample space in row-major order."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return list(zip(*(g.ravel().tolist() for g in grids)))
+
+
 @dataclass(frozen=True)
 class JointEffectTable:
     """Operator-valued table over a product sample space.
@@ -194,8 +200,7 @@ class JointEffectTable:
 
     def tuples(self) -> list:
         """Outcome tuples in row-major order matching flat_effects()."""
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return list(zip(*(g.ravel().tolist() for g in grids)))
+        return _tuples(self.axes)
 
     def total(self) -> np.ndarray:
         return self.flat_effects().sum(axis=0)
@@ -255,8 +260,7 @@ def _combine(left: JointEffectTable, right: JointEffectTable,
 
 
 def _leaf_table(obs: Observable) -> JointEffectTable:
-    effects = np.stack(obs.projectors).astype(np.complex128)
-    return JointEffectTable([np.asarray(obs.sample_space)], effects)
+    return JointEffectTable([np.asarray(obs.sample_space)], obs.projectors)
 
 
 def collapse_effect_pair(a: Observable, b: Observable,
@@ -309,11 +313,11 @@ def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,
     kb = np.asarray(kappa_b, dtype=float)
     # Each POVM must be the stated mixture; the rebuild validates kappa and Q.
     for povm, kap, label in ((e_a, ka, "A"), (e_b, kb, "B")):
-        rebuilt = np.stack(povm_from_mixture(kap, qs, povm.sample_points, tol).effects)
-        given = np.asarray(povm.effects, dtype=np.complex128)
+        rebuilt = povm_from_mixture(kap, qs, povm.sample_points, tol).effects
+        given = povm.effects
         if given.shape != rebuilt.shape or max_entry_norm(rebuilt - given) > tol.num:
             raise ValueError(f"POVM {label} is not the stated mixture of the Q set")
-    stack = np.stack([np.asarray(q, dtype=np.complex128) for q in qs])
+    stack = np.asarray(qs, dtype=np.complex128)
     core = _sandwich(stack, stack, tol)
     out = np.einsum("lx,my,lmab->xyab", ka, kb, core)
     axes = [np.arange(len(e_a.sample_points)), np.arange(len(e_b.sample_points))]
@@ -344,8 +348,7 @@ class JointDistribution:
         )
 
     def tuples(self) -> list:
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return list(zip(*(g.ravel().tolist() for g in grids)))
+        return _tuples(self.axes)
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
         if self.probabilities.min() < 0:

@@ -133,9 +133,7 @@ def primed_observable(model: CommutativeModel, k: int,
     clustering; slots sharing a coordinate value merge into one projector)."""
     vals = model.primed_values[k]
     distinct = np.unique(vals)
-    projectors = []
-    for v in distinct:
-        diag = (np.abs(vals - v) <= degeneracy_gap).astype(np.complex128)
-        projectors.append(np.diag(diag))
+    members = np.abs(vals - distinct[:, None]) <= degeneracy_gap
+    projectors = members[:, :, None] * np.eye(len(vals))
     decomp = SpectralDecomposition(distinct.astype(float), projectors)
     return Observable(model.names[k], decomp)

@@ -198,10 +198,9 @@ def chsh_marginal_problem(state: AlgebraicState, a1: Observable, a2: Observable,
     """The four pairwise setting distributions of a two-party experiment as a
     marginal problem over axes (A1, A2, B1, B2)."""
     _check_chsh_inputs(state, (a1, a2), (b1, b2), tol)
-    da = a1.dim
-    db = b1.dim
-    eye_b = np.eye(db)
-    eye_a = np.eye(da)
+    # rho[(a, b), (a', b')] as rho[a, b, a', b'], so Tr[rho (P (x) Q)] is
+    # one contraction over both factors.
+    rho = state.density.reshape(a1.dim, b1.dim, a1.dim, b1.dim)
     axes = {}
     contexts = []
     for a_name, a in (("A1", a1), ("A2", a2)):
@@ -210,12 +209,7 @@ def chsh_marginal_problem(state: AlgebraicState, a1: Observable, a2: Observable,
         axes[b_name] = [float(v) for v in b.sample_space]
     for a_name, a in (("A1", a1), ("A2", a2)):
         for b_name, b in (("B1", b1), ("B2", b2)):
-            table = np.zeros((a.n_outcomes, b.n_outcomes))
-            for i, pa in enumerate(a.projectors):
-                for j, pb in enumerate(b.projectors):
-                    table[i, j] = float(
-                        np.real(state.expect(np.kron(pa, pb)))
-                    )
+            table = np.einsum("abcd,ica,jdb->ij", rho, a.projectors, b.projectors).real
             table = np.clip(table, 0.0, None)
             table /= table.sum()
             dist = JointDistribution(
@@ -250,30 +244,29 @@ def noncommutative_unifying_state(
             commutator_norm(x.matrix(), b.matrix()) > tol.num:
         raise ValueError("X must commute with A and with B")
     dim = x.dim
-    operators = [np.eye(dim, dtype=np.complex128)]
-    targets = [1.0]
+    products = [np.eye(dim, dtype=np.complex128)[None]]
     for obs, dist in ((a, p_xa), (b, p_xb)):
         if dist.shape != (x.n_outcomes, obs.n_outcomes):
             raise ValueError("context table shape does not match the observables")
-        for i, px in enumerate(x.projectors):
-            for j, pu in enumerate(obs.projectors):
-                m = px @ pu
-                operators.append(0.5 * (m + m.conj().T))
-                targets.append(float(dist.probabilities[i, j]))
-    targets = np.array(targets)
+        products.append((x.projectors[:, None] @ obs.projectors).reshape(-1, dim, dim))
+    m = np.concatenate(products)
+    operators = 0.5 * (m + m.conj().swapaxes(1, 2))
+    targets = np.concatenate([[1.0], p_xa.probabilities.ravel(), p_xb.probabilities.ravel()])
+    # For Hermitian M, Tr[M X] is the conjugate of M's entries dotted with X's.
+    flat = operators.reshape(len(operators), -1)
+    rows = flat.conj()
+
+    def traces(rho: np.ndarray) -> np.ndarray:
+        return (rows @ rho.ravel()).real
 
     # Least-squares projector onto the affine set via the (pseudo)inverse of
     # the Gram matrix of the constraint operators.
-    gram = np.array([[float(np.real(np.trace(mi @ mj))) for mj in operators]
-                     for mi in operators])
+    gram = (rows @ flat.T).real
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
 
     def project_affine(rho: np.ndarray) -> np.ndarray:
-        vals = np.array([float(np.real(np.trace(m @ rho))) for m in operators])
-        lam = gram_pinv @ (vals - targets)
-        out = rho.astype(np.complex128).copy()
-        for lk, m in zip(lam, operators):
-            out -= lk * m
+        lam = gram_pinv @ (traces(rho) - targets)
+        out = rho - np.tensordot(lam, operators, 1)
         return 0.5 * (out + out.conj().T)
 
     def project_psd(rho: np.ndarray) -> np.ndarray:
@@ -283,15 +276,9 @@ def noncommutative_unifying_state(
     rho = np.eye(dim, dtype=np.complex128) / dim
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        affine = project_affine(rho)
-        rho = project_psd(affine)
-        affine_vals = np.array(
-            [float(np.real(np.trace(m @ rho))) for m in operators]
-        )
-        residual = float(
-            max(np.abs(affine_vals - targets).max(),
-                abs(float(np.linalg.eigvalsh(rho)[0].clip(max=0.0))))
-        )
+        # A PSD projection has no negative eigenvalue to add to the residual.
+        rho = project_psd(project_affine(rho))
+        residual = float(np.abs(traces(rho) - targets).max())
         if residual <= residual_tol:
             trace = float(np.trace(rho).real)
             return StateSearchResult(

@@ -83,7 +83,7 @@ def build_instrument(a: Observable, ancilla_dim: int,
     a.decomposition.check(tol)
     exchanges = np.eye(ancilla_dim)[_exchange_ready(
         np.arange(ancilla_dim), np.arange(1, a.n_outcomes + 1)[:, None])]
-    u = np.einsum("iab,ikl->akbl", np.stack(a.projectors), exchanges)
+    u = np.einsum("iab,ikl->akbl", a.projectors, exchanges)
     return Instrument(a, ancilla_dim, u.reshape(a.dim * ancilla_dim, -1))
 
 
@@ -144,10 +144,8 @@ def interference_comparison(model: InstrumentModel, psi: VectorState,
     dist = sequential_probabilities(model, psi, tol)
     measured = dist.probabilities.sum(axis=0)
     b = model.second.observable
-    unmeasured = np.array(
-        [float(np.real(np.vdot(psi.amplitudes, q @ psi.amplitudes)))
-         for q in b.projectors]
-    )
+    vec = psi.amplitudes
+    unmeasured = (b.projectors @ vec @ vec.conj()).real
     return [
         (float(b.sample_space[j]), float(measured[j]), float(unmeasured[j]))
         for j in range(b.n_outcomes)
@@ -168,17 +166,13 @@ def luders_duality_check(a: Observable, b: Observable, psi: VectorState) -> Lude
     if not (a.dim == b.dim == psi.dim):
         raise DimensionMismatchError("dimension mismatch")
     vec = psi.amplitudes
+    p, q = a.projectors, b.projectors
     rho = np.outer(vec, vec.conj())
-    transformed_state = sum(
-        p @ rho @ p for p in a.projectors
-    )
-    lhs = []
-    rhs = []
-    for q in b.projectors:
-        transformed_meas = sum(p @ q @ p for p in a.projectors)
-        lhs.append(float(np.real(np.vdot(vec, transformed_meas @ vec))))
-        rhs.append(float(np.real(np.trace(q @ transformed_state))))
-    lhs, rhs = np.array(lhs), np.array(rhs)
+    transformed_state = (p @ rho @ p).sum(0)
+    # sum_i P_i Q_j P_i for every j.
+    transformed_meas = (p @ q[:, None] @ p).sum(1)
+    lhs = (transformed_meas @ vec @ vec.conj()).real
+    rhs = np.einsum("jab,ba->j", q, transformed_state).real
     return LudersDualityReport(
         outcomes=np.asarray(b.sample_space),
         transformed_measurement=lhs,

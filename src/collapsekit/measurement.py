@@ -5,6 +5,9 @@ decomposition: the distinct eigenvalues form the sample space and each
 carries an orthogonal projector.  States are density operators; the map
 X -> Tr[rho X] satisfies the usual algebraic state axioms (complex
 linearity, positivity on X^H X, adjoint compatibility, unit normalization).
+The projectors of an observable or a PVM and the effects of a POVM are each
+one read-only complex128 (n, d, d) stack, which the functions here index and
+contract instead of looping over its members.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class Observable:
         return self.decomposition.eigenvalues
 
     @property
-    def projectors(self) -> list:
+    def projectors(self) -> np.ndarray:
         return self.decomposition.projectors
 
     @property
@@ -144,12 +147,16 @@ class VectorState:
 
 @dataclass(frozen=True)
 class PVM:
-    """Projection-valued measure over opaque sample points."""
+    """Projection-valued measure over opaque sample points; `projectors` is
+    stored as a read-only complex128 (n, d, d) stack."""
 
     sample_points: list
-    projectors: list
+    projectors: np.ndarray
 
     def __post_init__(self):
+        projectors = np.array(self.projectors, dtype=np.complex128)
+        projectors.setflags(write=False)
+        object.__setattr__(self, "projectors", projectors)
         if len(self.sample_points) != len(self.projectors):
             raise ValueError("sample point / projector count mismatch")
 
@@ -162,13 +169,17 @@ class POVM:
     """Positive operator-valued measure: PSD effects summing to the identity.
 
     Sample points are opaque labels; additivity over disjoint unions of a
-    finite sample space holds by construction.
+    finite sample space holds by construction.  `effects` is stored as a
+    read-only complex128 (n, d, d) stack.
     """
 
     sample_points: list
-    effects: list
+    effects: np.ndarray
 
     def __post_init__(self):
+        effects = np.array(self.effects, dtype=np.complex128)
+        effects.setflags(write=False)
+        object.__setattr__(self, "effects", effects)
         if len(self.sample_points) != len(self.effects):
             raise ValueError("sample point / effect count mismatch")
 
@@ -194,7 +205,7 @@ def probability_density(
     """Discrete probability table [(alpha_i, Tr[rho P_i])] over the sample space."""
     if a.dim != rho.dim:
         raise DimensionMismatchError("observable/state dimension mismatch")
-    raw = np.array([rho.expect(p).real for p in a.projectors])
+    raw = np.einsum("ab,iba->i", rho.density, a.projectors).real
     probs = clamp_probabilities(raw, tol)
     return list(zip(a.sample_space.tolist(), probs.tolist()))
 
@@ -257,10 +268,7 @@ def pvm_from_observable(a: Observable, partition: list, tol: Tolerances = DEFAUL
         if set(idx) & set(covered):
             raise ValueError("partition cells overlap")
         covered.extend(idx)
-        proj = np.zeros((a.dim, a.dim), dtype=np.complex128)
-        for i in idx:
-            proj += a.projectors[i]
-        projectors.append(proj)
+        projectors.append(a.projectors[idx].sum(0))
         points.append(tuple(sorted(sample[i] for i in idx)))
     if len(covered) != a.n_outcomes:
         raise ValueError("partition does not cover the sample space")
@@ -281,13 +289,11 @@ def discretize_observable(
     for t in thr:
         if np.any(np.abs(a.sample_space - t) <= tol.num):
             raise ValueError(f"threshold {t!r} coincides with an eigenvalue")
-    bins = {}
-    for alpha, proj in zip(a.sample_space, a.projectors):
-        v = int(np.sum(thr < alpha))
-        bins.setdefault(v, []).append(proj)
-    values = sorted(bins)
-    projectors = [sum(bins[v][1:], bins[v][0].copy()) for v in values]
-    decomp = SpectralDecomposition(np.array(values, dtype=float), projectors)
+    bins = np.searchsorted(thr, a.sample_space, side="left")
+    values = np.unique(bins)
+    mask = (bins == values[:, None])[:, :, None, None]
+    projectors = np.where(mask, a.projectors, 0.0).sum(1)
+    decomp = SpectralDecomposition(values.astype(float), projectors)
     return Observable(f"{a.name}_d", decomp)
 
 
@@ -313,6 +319,6 @@ def povm_from_mixture(kappas, qs, sample_points=None, tol: Tolerances = DEFAULT)
     if len(sample_points) != n_points:
         raise ValueError("sample point count does not match the kappa table")
     effects = np.einsum("lx,lab->xab", kap, stack)
-    povm = POVM(list(sample_points), list(effects))
+    povm = POVM(list(sample_points), effects)
     povm.check(tol)
     return povm

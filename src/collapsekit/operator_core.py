@@ -2,9 +2,12 @@
 with first-class degeneracy handling, PSD square roots, and projector
 arithmetic.
 
-One check per operator family, each over the family as one (n, d, d)
-stack: `require_effects` (POVMs, Q sets, effect tables) and
-`require_projectors` (PVMs, spectral decompositions).
+A family of operators (the projectors of a decomposition or a PVM, the
+effects of a POVM) is stored as one read-only complex128 (n, d, d) stack,
+so consumers index, slice and contract it without re-stacking or copying.
+One check per operator family, each over the whole stack:
+`require_effects` (POVMs, Q sets, effect tables) and `require_projectors`
+(PVMs, spectral decompositions).
 
 Everything here is a pure function over immutable numpy arrays; matrices are
 dense complex128 and desk-scale (dim <= 64 by intent, not enforcement).
@@ -130,14 +133,21 @@ class SpectralDecomposition:
     Eigenvalues are strictly increasing; projectors are Hermitian, mutually
     orthogonal, and sum to the identity.  Degenerate eigenvalues (within the
     clustering gap used at construction) share a single projector, so rank may
-    exceed one.
+    exceed one.  `projectors` is stored as a read-only (n, d, d) stack.
     """
 
     eigenvalues: np.ndarray
-    projectors: list = field(repr=False)
+    projectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
+        # A copy, so the caller's arrays stay writable; numpy names the
+        # shape of ragged input in its own ValueError.
+        projectors = np.array(self.projectors, dtype=np.complex128)
+        if projectors.ndim != 3 or projectors.shape[1] != projectors.shape[2]:
+            raise ValueError(f"expected an (n, d, d) projector stack, got shape {projectors.shape}")
+        projectors.setflags(write=False)
+        object.__setattr__(self, "projectors", projectors)
         if len(self.eigenvalues) != len(self.projectors):
             raise ValueError("eigenvalue/projector count mismatch")
         if len(self.eigenvalues) == 0:
@@ -147,7 +157,7 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)

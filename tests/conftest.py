@@ -266,3 +266,71 @@ def reference_instrument_unitary(projectors, ancilla_dim):
         t[[0, i + 1]] = t[[i + 1, 0]]
         u = u + np.kron(proj, t)
     return u
+
+
+def reference_projectors(matrix, degeneracy_gap=1e-8):
+    """Spectral projectors built one eigenvalue cluster at a time, as a list:
+    eigenvalues whose neighbours lie closer than the gap share a cluster,
+    whose projector is block @ block^H over its eigenvectors."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    m = 0.5 * (m + m.conj().T)
+    vals, vecs = np.linalg.eigh(m)
+    groups = [[0]]
+    for k in range(1, len(vals)):
+        if vals[k] - vals[k - 1] < degeneracy_gap:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
+
+
+def reference_chsh_tables(state, a_pair, b_pair):
+    """The four CHSH context tables as a Kronecker-product loop:
+    Tr[rho (P_i (x) Q_j)] per entry, clipped at 0 and normalized."""
+    tables = []
+    for a in a_pair:
+        for b in b_pair:
+            table = np.zeros((a.n_outcomes, b.n_outcomes))
+            for i, pa in enumerate(a.projectors):
+                for j, pb in enumerate(b.projectors):
+                    table[i, j] = float(np.real(state.expect(np.kron(pa, pb))))
+            table = np.clip(table, 0.0, None)
+            tables.append(table / table.sum())
+    return tables
+
+
+def reference_unifying_state(p_xa, p_xb, x, a, b, max_iter=100_000, residual_tol=1e-9):
+    """The state search as a loop over constraint operators: alternating
+    projections between the affine set {Tr[rho M_k] = t_k} and the PSD cone,
+    with the residual taken as the larger of the worst constraint error and
+    the magnitude of the iterate's most negative eigenvalue.  Returns
+    (status, iterations, density or None, residual)."""
+    dim = x.dim
+    operators = [np.eye(dim, dtype=np.complex128)]
+    targets = [1.0]
+    for obs, dist in ((a, p_xa), (b, p_xb)):
+        for i, px in enumerate(x.projectors):
+            for j, pu in enumerate(obs.projectors):
+                m = px @ pu
+                operators.append(0.5 * (m + m.conj().T))
+                targets.append(float(dist.probabilities[i, j]))
+    targets = np.array(targets)
+    gram = np.array([[float(np.real(np.trace(mi @ mj))) for mj in operators]
+                     for mi in operators])
+    gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    for iteration in range(1, max_iter + 1):
+        vals = np.array([float(np.real(np.trace(m @ rho))) for m in operators])
+        lam = gram_pinv @ (vals - targets)
+        out = rho.copy()
+        for lk, m in zip(lam, operators):
+            out -= lk * m
+        out = 0.5 * (out + out.conj().T)
+        evals, evecs = np.linalg.eigh(0.5 * (out + out.conj().T))
+        rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
+        affine_vals = np.array([float(np.real(np.trace(m @ rho))) for m in operators])
+        residual = max(np.abs(affine_vals - targets).max(),
+                       abs(float(np.linalg.eigvalsh(rho)[0].clip(max=0.0))))
+        if residual <= residual_tol:
+            return "found", iteration, rho / float(np.trace(rho).real), residual
+    return "inconclusive", max_iter, None, residual
