@@ -33,9 +33,9 @@ scales with the number of distinct prefixes (at most the product of the
 outcome counts so far), not with the number of runs.  A prefix whose root
 has rank one stops branching.  Every new root is taken of S P S rescaled to
 unit trace.  The probabilities are scale-free and the root is positively
-homogeneous, so this changes no outcome, but it keeps the PSD clamp
-relative to the prefix's own mass at any chain length.  A prefix whose mass
-vanishes anyway raises `ZeroProbabilityOutcomeError`.
+homogeneous, so this changes no outcome, but it keeps the prefix's mass
+from underflowing at any chain length.  A prefix whose mass vanishes anyway
+raises `ZeroProbabilityOutcomeError`.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ class ChainSpec:
             raise ValueError("at least one observable required")
         if isinstance(self.convention, str) and self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
 
     def sequence(self) -> list:
         return [self.observables[k % len(self.observables)]
@@ -145,9 +147,9 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     its runs draw each later outcome from <u|P|u>: for a non-degenerate
     first observable no eigensolve follows the first step.  Each root is taken of
     S P S rescaled to unit trace, which leaves the outcomes unchanged and
-    keeps the tol.psd clamp relative to the prefix's own mass.  A prefix
-    whose conditional mass vanishes (below tol.prob of the root's own scale)
-    raises `ZeroProbabilityOutcomeError` instead of forcing an outcome.
+    keeps the prefix's mass from underflowing.  A prefix whose conditional
+    mass vanishes (below tol.prob of the root's own scale) raises
+    `ZeroProbabilityOutcomeError` instead of forcing an outcome.
 
     Returns outcome indices of shape (runs, n)."""
     if spec.convention != "left_fold":

@@ -67,8 +67,11 @@ def _tolerances(args) -> Tolerances:
     # Precedence: flag > config file > default.
     tol = DEFAULT
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise DocumentError(f"{args.config}: {exc}") from exc
         tol = tol.with_overrides(
             herm=cfg.get("herm"), psd=cfg.get("psd"),
             num=cfg.get("num"), prob=cfg.get("prob"),
@@ -316,10 +319,10 @@ _shared_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and "COLLAPSEKIT_SEED" in os.environ:
-        if hasattr(args, "seed"):
-            args.seed = int(os.environ["COLLAPSEKIT_SEED"])
     try:
+        # The fallback seed serves only commands that take --seed.
+        if getattr(args, "seed", 0) is None and "COLLAPSEKIT_SEED" in os.environ:
+            args.seed = int(os.environ["COLLAPSEKIT_SEED"])
         tol = _tolerances(args)
         return args.func(args, tol)
     except (DocumentError, ValueError) as exc:

@@ -11,10 +11,9 @@ binary tree whose leaves are the measurement sequence in order.
 
 Every table node, the Q-relative collapse and the single product go through
 one kernel: the roots of one stack sandwich every entry of the other by two
-batched matrix products.  Each root zeroes only the eigenvalues of its own
-entry below min(tol.psd * lambda_max, tol.psd), a cut relative to that
-entry's largest eigenvalue, so deep entries whose whole mass is below tol.psd
-keep their genuine small eigenvalues.
+batched matrix products.  The roots are `batched_psd_sqrt`, as in the step
+sampler, whose cut is relative to each entry's trace: deep entries whose
+whole mass is below tol.psd keep their genuine small eigenvalues.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from .measurement import (
 )
 from .operator_core import (
     DimensionMismatchError,
-    NotPositiveSemidefiniteError,
     as_matrix,
+    batched_psd_sqrt,
     max_entry_norm,
     require_effects,
     require_hermitian,
@@ -216,20 +215,8 @@ class JointEffectTable:
 
 def _sandwich(xs: np.ndarray, ys: np.ndarray, tol: Tolerances) -> np.ndarray:
     """sqrt(X_l) Y_r sqrt(X_l) for every X_l of a stack (L, d, d) and every
-    Y_r of a stack (R, d, d), shape (L, R, d, d).
-
-    Each root zeroes the eigenvalues of its X_l below
-    min(tol.psd * lambda_max, tol.psd); any eigenvalue below -tol.psd raises
-    `NotPositiveSemidefiniteError`."""
-    herm = 0.5 * (xs + np.conj(np.swapaxes(xs, -1, -2)))
-    vals, vecs = np.linalg.eigh(herm)
-    if vals.min() < -tol.psd:
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {vals.min():.3e} below -{tol.psd:.1e}"
-        )
-    cut = np.clip(tol.psd * vals[:, -1:], 0.0, tol.psd)
-    root_vals = np.sqrt(np.where(vals < cut, 0.0, vals))
-    roots = (vecs * root_vals[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    Y_r of a stack (R, d, d), shape (L, R, d, d)."""
+    roots = batched_psd_sqrt(xs, tol)
     return roots[:, None] @ ys[None] @ roots[:, None]
 
 

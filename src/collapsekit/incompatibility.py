@@ -19,7 +19,7 @@ import numpy as np
 
 from .collapse_product import JointDistribution
 from .config import DEFAULT, Tolerances
-from .measurement import AlgebraicState, Observable
+from .measurement import AlgebraicState, Observable, clamp_probabilities
 from .operator_core import commutator_norm
 from .rational_lp import feasibility_lp
 
@@ -209,9 +209,8 @@ def chsh_marginal_problem(state: AlgebraicState, a1: Observable, a2: Observable,
         axes[b_name] = [float(v) for v in b.sample_space]
     for a_name, a in (("A1", a1), ("A2", a2)):
         for b_name, b in (("B1", b1), ("B2", b2)):
-            table = np.einsum("abcd,ica,jdb->ij", rho, a.projectors, b.projectors).real
-            table = np.clip(table, 0.0, None)
-            table /= table.sum()
+            table = clamp_probabilities(
+                np.einsum("abcd,ica,jdb->ij", rho, a.projectors, b.projectors).real, tol)
             dist = JointDistribution(
                 [np.asarray(a.sample_space), np.asarray(b.sample_space)], table
             )

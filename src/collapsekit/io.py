@@ -105,7 +105,12 @@ def _load_kind(doc: dict, tol: Tolerances):
     axes = {name: [float(v) for v in vals] for name, vals in axes_doc.items()}
     contexts = []
     for k, ctx in enumerate(contexts_doc):
+        if not isinstance(ctx, dict):
+            raise DocumentError(f"contexts[{k}]: expected an object, got {type(ctx).__name__}")
         names = tuple(ctx.get("axes", ()))
+        undeclared = [name for name in names if name not in axes]
+        if undeclared:
+            raise DocumentError(f"contexts[{k}]: undeclared axes {undeclared}")
         table = np.asarray(ctx.get("table"), dtype=float)
         expected = tuple(len(axes[name]) for name in names)
         if table.shape != expected:

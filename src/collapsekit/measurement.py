@@ -19,12 +19,12 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .operator_core import (
     DimensionMismatchError,
-    NotPositiveSemidefiniteError,
     SpectralDecomposition,
     as_matrix,
     require_effects,
     require_hermitian,
     require_projectors,
+    require_psd_spectra,
     spectral_decompose,
 )
 
@@ -92,11 +92,7 @@ class AlgebraicState:
 
     def __post_init__(self):
         rho = require_hermitian(self.density, self.tol)
-        vals = np.linalg.eigvalsh(rho)
-        if vals[0] < -self.tol.psd:
-            raise NotPositiveSemidefiniteError(
-                f"density has eigenvalue {vals[0]:.3e}"
-            )
+        require_psd_spectra(np.linalg.eigvalsh(rho), self.tol, "density")
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > self.tol.num:
             raise ValueError(f"density trace {tr!r} != 1")

@@ -7,7 +7,9 @@ effects of a POVM) is stored as one read-only complex128 (n, d, d) stack,
 so consumers index, slice and contract it without re-stacking or copying.
 One check per operator family, each over the whole stack:
 `require_effects` (POVMs, Q sets, effect tables) and `require_projectors`
-(PVMs, spectral decompositions).
+(PVMs, spectral decompositions).  One PSD rule, `require_psd_spectra`, and
+one PSD root, `batched_psd_sqrt`, serve the whole package; no other module
+reads tol.psd.
 
 Everything here is a pure function over immutable numpy arrays; matrices are
 dense complex128 and desk-scale (dim <= 64 by intent, not enforcement).
@@ -30,6 +32,7 @@ __all__ = [
     "require_hermitian",
     "require_effects",
     "require_projectors",
+    "require_psd_spectra",
     "spectral_decompose",
     "psd_sqrt",
     "batched_psd_sqrt",
@@ -103,11 +106,7 @@ def require_effects(operators, tol: Tolerances = DEFAULT) -> np.ndarray:
     exactly symmetrized: each Hermitian within tol.herm, PSD within tol.psd,
     and all summing to I within tol.num."""
     stack = _family(operators, tol, "effects")
-    lowest = np.linalg.eigvalsh(stack)[:, 0]
-    if lowest.min() < -tol.psd:
-        raise NotPositiveSemidefiniteError(
-            f"effect {lowest.argmin()} has eigenvalue {lowest.min():.3e} below -{tol.psd:.1e}"
-        )
+    require_psd_spectra(np.linalg.eigvalsh(stack), tol, "effect")
     return stack
 
 
@@ -205,40 +204,48 @@ def spectral_decompose(
     return SpectralDecomposition(np.array(eigenvalues), projectors)
 
 
-def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """The unique positive semi-definite square root of a PSD matrix: the
-    single-matrix case of `batched_psd_sqrt`, after `require_hermitian`.
+def require_psd_spectra(vals: np.ndarray, tol: Tolerances = DEFAULT,
+                        what: str = "matrix") -> None:
+    """Raise `NotPositiveSemidefiniteError` if an ascending spectrum of
+    `vals` (..., d) has an eigenvalue below -tol.psd: the package's PSD rule."""
+    lowest = np.asarray(vals)[..., 0]
+    if lowest.min() < -tol.psd:
+        at = f" {lowest.argmin()}" if lowest.ndim else ""
+        raise NotPositiveSemidefiniteError(
+            f"{what}{at} has eigenvalue {lowest.min():.3e} below -{tol.psd:.1e}"
+        )
 
-    Every eigenvalue below tol.psd, positive ones included, is set to zero
-    before the root; anything below -tol.psd raises
-    `NotPositiveSemidefiniteError`.
-    """
+
+def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """The unique PSD square root of a PSD matrix: `batched_psd_sqrt`, with
+    its trace-relative cut, after `require_hermitian`."""
     return batched_psd_sqrt(require_hermitian(q, tol), tol)
 
 
 def batched_psd_sqrt(stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """PSD square roots of a stack (..., d, d) of Hermitian matrices.
+    """PSD square roots of a stack (..., d, d) of Hermitian matrices: the
+    one PSD root of the package.
 
-    Eigenvalues below tol.psd are clamped to zero, so the root does not
-    amplify eigensolver noise; any eigenvalue below -tol.psd raises
-    `NotPositiveSemidefiniteError`.  The cut stays absolute because the step
-    sampler relies on it: a unit-trace effect whose eigenvalues all lie below
-    tol.psd gets a zero root, so its prefix has no mass left and the sampler
-    raises.
+    Each matrix X zeroes its eigenvalues below clip(tol.psd * Tr X, 0,
+    tol.psd): eigensolver noise gets no root, yet below unit trace the root
+    is scale-free, sqrt(c X) = sqrt(c) sqrt(X).  The clip at 0 spares an
+    all-zero entry whose trace rounds below zero.  An eigenvalue below
+    -tol.psd raises.
     """
     herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
     vals, vecs = np.linalg.eigh(herm)
-    if vals.min() < -tol.psd:
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {vals.min():.3e} below -{tol.psd:.1e}"
-        )
-    root_vals = np.sqrt(np.where(vals < tol.psd, 0.0, vals))
-    return np.einsum("...ik,...k,...jk->...ij", vecs, root_vals, vecs.conj())
+    require_psd_spectra(vals, tol)
+    cut = np.clip(tol.psd * vals.sum(axis=-1, keepdims=True), 0.0, tol.psd)
+    root_vals = np.sqrt(np.where(vals < cut, 0.0, vals))
+    return (vecs * root_vals[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
 def is_psd(q, tol: Tolerances = DEFAULT) -> bool:
-    m = require_hermitian(q, tol)
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol.psd)
+    try:
+        require_psd_spectra(np.linalg.eigvalsh(require_hermitian(q, tol)), tol)
+    except NotPositiveSemidefiniteError:
+        return False
+    return True
 
 
 def commutator_norm(a, b) -> float:

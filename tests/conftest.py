@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collapsekit import DEFAULT, AlgebraicState, batched_psd_sqrt, is_psd
+from collapsekit import DEFAULT, AlgebraicState, is_psd
 from collapsekit.measurement import observable
 from collapsekit.operator_core import NotPositiveSemidefiniteError
 from collapsekit.rational_lp import FeasibilityResult
@@ -200,14 +200,22 @@ def reference_joint_unitary(na, nb, da, db):
     return u
 
 
+def reference_roots(stack, tol=DEFAULT):
+    """PSD roots of a Hermitian stack (..., d, d) from their own `eigh`,
+    with every eigenvalue below the absolute cut tol.psd set to zero."""
+    vals, vecs = np.linalg.eigh(0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2))))
+    root_vals = np.sqrt(np.where(vals < tol.psd, 0.0, vals))
+    return np.einsum("...ik,...k,...jk->...ij", vecs, root_vals, vecs.conj())
+
+
 def reference_combine(left, right, reverse, tol=DEFAULT):
     """The entrywise sequential product of two flat effect stacks (L, d, d)
-    and (R, d, d) as one einsum sandwich, with `batched_psd_sqrt` roots
-    (absolute cut at tol.psd); shape (L, R, d, d) in (left, right) order."""
+    and (R, d, d) as one einsum sandwich, with `reference_roots` (absolute
+    cut at tol.psd); shape (L, R, d, d) in (left, right) order."""
     if reverse:
-        roots = batched_psd_sqrt(right, tol)
+        roots = reference_roots(right, tol)
         return np.einsum("rab,lbc,rcd->lrad", roots, left, roots)
-    roots = batched_psd_sqrt(left, tol)
+    roots = reference_roots(left, tol)
     return np.einsum("lab,rbc,lcd->lrad", roots, right, roots)
 
 

@@ -55,6 +55,12 @@ class TestChainSpec:
         with pytest.raises(ValueError):
             ChainSpec([Z], 3, "middle_out")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ChainSpec([Z], 3, seed=seed)
+        ChainSpec([Z], 3, seed=2**64 - 1)
+
 
 class TestDeterminism:
     def test_leftfold_byte_identical(self):

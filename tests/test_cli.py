@@ -337,6 +337,53 @@ class TestDocumentRoundTrip:
         assert np.abs(rho.density - rho2.density).max() == 0.0
 
 
+class TestMarginalProblemDocuments:
+    def problem(self, tmp_path, contexts):
+        return write(tmp_path / "problem.json", {
+            "kind": "marginal-problem", "axes": {"A": [0, 1]},
+            "contexts": contexts,
+        })
+
+    def test_undeclared_axis_exit_2(self, tmp_path, capsys):
+        path = self.problem(tmp_path, [
+            {"axes": ["A"], "table": [0.5, 0.5]},
+            {"axes": ["A", "B"], "table": [[0.25, 0.25], [0.25, 0.25]]},
+        ])
+        assert main(["feasible", path]) == 2
+        err = capsys.readouterr().err
+        assert "contexts[1]" in err and "'B'" in err
+        with pytest.raises(DocumentError, match=r"contexts\[1\]"):
+            load_document(path)
+
+    def test_context_not_an_object_exit_2(self, tmp_path, capsys):
+        path = self.problem(tmp_path, [["A"]])
+        assert main(["feasible", path]) == 2
+        assert "contexts[0]" in capsys.readouterr().err
+        with pytest.raises(DocumentError, match=r"contexts\[0\]"):
+            load_document(path)
+
+
+class TestInputErrors:
+    def test_env_seed_not_an_integer_exit_2(self, docs, capsys, monkeypatch):
+        monkeypatch.setenv("COLLAPSEKIT_SEED", "abc")
+        argv = ["chain", docs["chain"], "--state", docs["ket0"], "--runs", "5"]
+        assert main(argv) == 2
+        assert "abc" in capsys.readouterr().err
+
+    def test_missing_config_exit_2(self, docs, capsys):
+        missing = str(docs["tmp"] / "does-not-exist.json")
+        assert main(["--config", missing, "brackets", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does-not-exist.json" in err
+
+    def test_negative_seed_exit_2(self, docs, capsys, monkeypatch):
+        monkeypatch.delenv("COLLAPSEKIT_SEED", raising=False)
+        argv = ["chain", docs["chain"], "--state", docs["ket0"], "--runs", "5",
+                "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: seed -1")
+
+
 class TestPovmDocuments:
     def test_round_trip(self, tmp_path):
         doc = {"kind": "povm", "sample_points": [0, 1],

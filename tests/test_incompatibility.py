@@ -7,6 +7,7 @@ import pytest
 from collapsekit import (
     AlgebraicState,
     MarginalProblem,
+    Tolerances,
     admits_global_joint,
     chsh_marginal_problem,
     chsh_max_over_signs,
@@ -289,6 +290,15 @@ class TestChsh:
         verdict = admits_global_joint(problem)
         assert not verdict.feasible
         assert verdict.certificate
+
+    def test_marginal_tables_off_one_raise(self):
+        # The trace is 1 + 5e-10, inside the state's own tol.num; under a
+        # tighter tol.num the tables are off 1 and are not renormalised.
+        state = AlgebraicState((1.0 + 5e-10) * np.eye(4) / 4)
+        settings = [direction_observable(name, 0.0) for name in ("A1", "A2", "B1", "B2")]
+        chsh_marginal_problem(state, *settings)
+        with pytest.raises(ValueError, match="sum to"):
+            chsh_marginal_problem(state, *settings, tol=Tolerances(num=1e-10))
 
     def test_lp_agrees_with_fine_criterion_classical(self):
         # Settings that stay at or below the classical bound must be feasible.

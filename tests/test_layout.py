@@ -1,6 +1,8 @@
 """Layout rules of the package source: no module imports a private name from
 another module, so every name shared between modules is public and listed in
-its module's `__all__`."""
+its module's `__all__`; and no module but `operator_core` reads the PSD
+slack `.psd`, so the rule "PSD within tol.psd" and the root's cut are written
+in one place."""
 
 import ast
 from pathlib import Path
@@ -48,3 +50,28 @@ def test_detects_private_imports():
         "<source>:1: _clamp_probabilities",
         "<source>:2: _leftfold_draws",
     ]
+
+
+def psd_reads(source: str, filename: str = "<source>") -> list:
+    """Lines that read an attribute named `psd` (such as `tol.psd`)."""
+    return [f"{filename}:{node.lineno}: .psd"
+            for node in ast.walk(ast.parse(source, filename=filename))
+            if isinstance(node, ast.Attribute) and node.attr == "psd"
+            and isinstance(node.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "operator_core.py"],
+                         ids=lambda p: p.name)
+def test_only_operator_core_reads_the_psd_slack(path):
+    assert psd_reads(path.read_text(), path.name) == []
+
+
+def test_detects_psd_reads():
+    source = (
+        "cut = tol.psd * 2\n"
+        "Tolerances(psd=1e-9)\n"
+        "tol.with_overrides(psd=args.tol_psd)\n"
+        "if x < -self.tol.psd:\n"
+        "    pass\n"
+    )
+    assert psd_reads(source) == ["<source>:1: .psd", "<source>:4: .psd"]

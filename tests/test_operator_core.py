@@ -1,17 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from collapsekit import DEFAULT, AlgebraicState
 from collapsekit.operator_core import (
     DimensionMismatchError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
+    batched_psd_sqrt,
     commutator_norm,
     is_psd,
     psd_sqrt,
+    require_effects,
     spectral_decompose,
 )
 
-from conftest import PAULI_X, PAULI_Z, random_hermitian
+from conftest import PAULI_X, PAULI_Z, random_hermitian, random_psd_stack
 
 
 class TestSpectralDecompose:
@@ -82,6 +87,26 @@ class TestPsdSqrt:
         with pytest.raises(NotPositiveSemidefiniteError):
             psd_sqrt(np.diag([-1.0, 1.0]))
 
+    def test_scale_free(self, rng):
+        # The cut is relative to each trace, so a stack scaled far below
+        # tol.psd keeps its roots: sqrt(c X) = sqrt(c) sqrt(X).
+        stack = random_psd_stack(rng, 12, 5)
+        roots = batched_psd_sqrt(stack)
+        small = batched_psd_sqrt(1e-12 * stack)
+        assert np.abs(small - 1e-6 * roots).max() <= 1e-20
+        assert np.abs(roots @ roots - stack).max() <= 1e-12
+
+    def test_zero_entry_with_negative_trace(self):
+        # Noise of an all-zero table entry: trace -1e-17, one eigenvalue just
+        # below zero.  Its root is zero, with no root of a negative number.
+        noise = np.diag([-1e-17, -1e-30]).astype(np.complex128)
+        assert np.trace(noise).real < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = batched_psd_sqrt(np.stack([noise, np.eye(2)]))
+        assert np.array_equal(roots[0], np.zeros((2, 2)))
+        assert np.array_equal(roots[1], np.eye(2))
+
 
 class TestIsPsd:
     def test_simple(self):
@@ -96,6 +121,25 @@ class TestIsPsd:
             for pa in a.projectors:
                 for pb in b.projectors:
                     assert is_psd(pa @ pb @ pa)
+
+
+class TestPsdSlack:
+    @pytest.mark.parametrize("slack, ok", [(0.5, True), (2.0, False)])
+    def test_every_check_shares_one_rule(self, slack, ok):
+        # An eigenvalue of -slack * tol.psd: inside the slack or outside it
+        # for every check that states "PSD within tol.psd".
+        low = -slack * DEFAULT.psd
+        density = np.diag([low, 1.0 - low])
+        effects = np.stack([np.diag([low, 0.0]), np.diag([1.0 - low, 1.0])])
+        checks = (lambda: AlgebraicState(density), lambda: require_effects(effects),
+                  lambda: batched_psd_sqrt(density))
+        assert is_psd(density) == ok
+        for check in checks:
+            if ok:
+                check()
+            else:
+                with pytest.raises(NotPositiveSemidefiniteError):
+                    check()
 
 
 class TestCommutatorNorm:
