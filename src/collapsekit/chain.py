@@ -7,8 +7,12 @@ substreams that can be evaluated in any order with byte-identical results.
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
 chain length), and direct sampling of the exact effect table for any
-bracketing (bounded chain length).  For the left fold the two induce the same
-distribution.
+bracketing.  For the left fold the two induce the same distribution.  The
+exact table holds one d x d entry per outcome tuple, so its size, not a
+fixed step count, bounds the chain: `collapse_product.require_table_size`
+refuses a table past `MAX_TABLE_BYTES` or 32 axes with `TableTooLargeError`
+before allocating it.  The samplers' outcome arrays go through the same
+check.
 
 The per-step collapse tracks the PSD root S of the accumulated effect
 (S <- sqrt(S P S)); the conditional state after k outcomes is S rho S up to
@@ -48,8 +52,10 @@ from .collapse_product import (
     FOLD_TREES,
     BracketTree,
     JointDistribution,
+    TableTooLargeError,
     collapse_effect_tree,
     joint_distribution,
+    require_table_size,
     total_variation,
 )
 from .config import DEFAULT, Tolerances
@@ -71,13 +77,6 @@ __all__ = [
 ]
 
 CONVENTIONS = tuple(FOLD_TREES)
-MAX_TREE_TUPLES = 10**7
-
-
-class TableTooLargeError(ValueError):
-    """The chain is too long, or its sample space too large, for the exact
-    effect table."""
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -151,7 +150,8 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     mass vanishes (below tol.prob of the root's own scale) raises
     `ZeroProbabilityOutcomeError` instead of forcing an outcome.
 
-    Returns outcome indices of shape (runs, n)."""
+    Returns outcome indices of shape (runs, n).  The uniforms and the
+    outcomes take 16 B per run and step, under `require_table_size`."""
     if spec.convention != "left_fold":
         raise ValueError("step sampling is defined for the left_fold convention")
     if runs < 1:
@@ -160,6 +160,7 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     d = rho0.dim
     if any(obs.dim != d for obs in sequence):
         raise ValueError("observable/state dimension mismatch")
+    require_table_size((runs, spec.length), 16)
     uniforms = _uniform_block(spec.seed, runs, spec.length)
     return _leftfold_draws([obs.projectors for obs in sequence], rho0.density,
                            uniforms, np.eye(d, dtype=np.complex128), tol)
@@ -265,16 +266,10 @@ def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
 
 def exact_chain_distribution(spec: ChainSpec, rho0: AlgebraicState,
                              tol: Tolerances = DEFAULT) -> JointDistribution:
-    """The exact joint distribution of the chain under its bracketing."""
-    sequence = spec.sequence()
-    count = 1
-    for obs in sequence:
-        count *= obs.n_outcomes
-        if count > MAX_TREE_TUPLES:
-            raise TableTooLargeError("effect table too large for tree evaluation")
-    if spec.length > 12:
-        raise TableTooLargeError("tree conventions are limited to chains of length <= 12")
-    table = collapse_effect_tree(sequence, spec.tree(), tol)
+    """The exact joint distribution of the chain under its bracketing.
+    Raises `TableTooLargeError` when the effect table is past the size
+    guard."""
+    table = collapse_effect_tree(spec.sequence(), spec.tree(), tol)
     return joint_distribution(table, rho0, tol)
 
 
@@ -289,22 +284,26 @@ def sample_chain_tree(spec: ChainSpec, rho0: AlgebraicState, runs: int,
 def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.ndarray:
     """Outcome-index tuples drawn from a joint table by inverse CDF over its
     C-order entries, one uniform per run from the run's substream of `seed`.
-    `sample_chain_tree` is this applied to the chain's exact table."""
+    `sample_chain_tree` is this applied to the chain's exact table.  The
+    tuples and the index arrays they are stacked from take 16 B per run and
+    axis, under `require_table_size`."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    require_table_size((runs, len(dist.shape)), 16)
     cum = np.cumsum(dist.probabilities.ravel())
     cum[-1] = 1.0
     uniforms = _uniform_block(seed, runs, 1)[:, 0]
     flat_idx = np.searchsorted(cum, uniforms, side="right")
     multi = np.unravel_index(flat_idx, dist.shape)
-    return np.stack(multi, axis=1).astype(np.int64)
+    return np.stack(multi, axis=1).astype(np.int64, copy=False)
 
 
 def empirical_distribution(outcomes: np.ndarray, spec: ChainSpec) -> JointDistribution:
     """Relative tuple frequencies of an outcome array on the chain's sample
-    space."""
+    space.  The float64 table must pass `require_table_size`."""
     sequence = spec.sequence()
     shape = tuple(obs.n_outcomes for obs in sequence)
+    require_table_size(shape, 8)
     counts = np.zeros(shape)
     flat_idx = np.ravel_multi_index(tuple(outcomes.T), shape)
     np.add.at(counts.ravel(), flat_idx, 1.0)

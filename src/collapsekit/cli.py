@@ -72,6 +72,8 @@ def _tolerances(args) -> Tolerances:
                 cfg = json.load(fh)
         except OSError as exc:
             raise DocumentError(f"{args.config}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise DocumentError(f"{args.config}: top level must be an object")
         tol = tol.with_overrides(
             herm=cfg.get("herm"), psd=cfg.get("psd"),
             num=cfg.get("num"), prob=cfg.get("prob"),

@@ -14,6 +14,11 @@ one kernel: the roots of one stack sandwich every entry of the other by two
 batched matrix products.  The roots are `batched_psd_sqrt`, as in the step
 sampler, whose cut is relative to each entry's trace: deep entries whose
 whole mass is below tol.psd keep their genuine small eigenvalues.
+
+The size policy lives here too: `require_table_size` admits an array only up
+to `MAX_TABLE_BYTES` and 32 axes.  `collapse_effect_tree` and the chain
+samplers, whose arrays grow with a sample space or a run count, check the
+shape they will allocate before allocating it.
 """
 
 from __future__ import annotations
@@ -59,7 +64,48 @@ __all__ = [
     "q_relative_collapse",
     "joint_distribution",
     "catalan",
+    "MAX_TABLE_BYTES",
+    "TableTooLargeError",
+    "require_table_size",
 ]
+
+
+# --------------------------------------------------------------------------
+# size guard
+# --------------------------------------------------------------------------
+
+# Largest array, in bytes, that a table or sampler call may allocate.  Measured
+# on 2 CPUs with one BLAS thread (numpy 2.4): the 2**21-tuple left and right
+# folds of a two-outcome d = 2 chain (128 MiB each) built in 8.8 s and 3.4 s
+# with +449 MB and +320 MB peak RSS; the 4**8-tuple left fold of a
+# four-outcome d = 8 chain (64 MiB) in 0.54 s with +164 MB.  Peak RSS stays
+# within 3.5 times the table.  The benchmarks' largest sampler call, 10**6
+# runs of 8 steps at 16 B each, needs 122 MiB.
+MAX_TABLE_BYTES = 2**27
+
+
+class TableTooLargeError(ValueError):
+    """The array a call is about to allocate is past the size guard: more
+    than MAX_TABLE_BYTES bytes, or more than 32 axes.  An effect table has
+    one axis per measurement plus two and 16 B per item, so it bounds chain
+    length and sample-space size together; `collapsekit chain` reports no
+    exact values past it."""
+
+
+def require_table_size(shape, itemsize: int) -> None:
+    """Reject, before anything is allocated, an array of `shape` with
+    `itemsize` bytes per item that needs more than MAX_TABLE_BYTES or has
+    more than 32 axes (numpy 1.24's limit).  Axes are counted first, so the
+    byte count is a product of at most 32 terms however long the shape."""
+    if len(shape) > 32:
+        raise TableTooLargeError(
+            f"an array of {len(shape)} axes exceeds numpy's limit of 32"
+        )
+    nbytes = math.prod(shape) * itemsize
+    if nbytes > MAX_TABLE_BYTES:
+        raise TableTooLargeError(
+            f"an array of {nbytes} bytes exceeds MAX_TABLE_BYTES = {MAX_TABLE_BYTES}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -273,15 +319,19 @@ def collapse_effect_tree(observables: list, tree: BracketTree,
 
     Tree leaves must carry 0..n-1 in left-to-right order.  Each node is
     evaluated as the entrywise sequential product of its sub-tables (or the
-    reverse product if the node is flagged)."""
+    reverse product if the node is flagged).  The final table, 16 B per
+    item, must pass `require_table_size`; it is checked before the tree is
+    walked."""
     n = len(observables)
+    dims = {o.dim for o in observables}
+    if len(dims) != 1:
+        raise DimensionMismatchError("observables act on different dimensions")
+    d = dims.pop()
+    require_table_size([o.n_outcomes for o in observables] + [d, d], 16)
     if tree.leaves != tuple(range(n)):
         raise ValueError(
             f"tree leaves {tree.leaves} do not match observables 0..{n - 1}"
         )
-    dims = {o.dim for o in observables}
-    if len(dims) != 1:
-        raise DimensionMismatchError("observables act on different dimensions")
 
     def eval_tree(t: BracketTree) -> JointEffectTable:
         if isinstance(t, Leaf):

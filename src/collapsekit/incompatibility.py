@@ -148,18 +148,14 @@ def _bipartite_correlator(state: AlgebraicState, a: Observable, b: Observable) -
 def _check_chsh_inputs(state, a_pair, b_pair, tol):
     da = a_pair[0].dim
     db = b_pair[0].dim
+    if a_pair[1].dim != da or b_pair[1].dim != db:
+        raise ValueError("the two settings of a party act on different dimensions")
     if da * db != state.dim:
         raise ValueError("state dimension is not the product of the factor dims")
-    eye_a, eye_b = np.eye(da), np.eye(db)
     for obs in (*a_pair, *b_pair):
         if not np.all(np.isin(np.round(obs.sample_space).astype(int), (-1, 1))) or \
                 np.abs(obs.sample_space - np.round(obs.sample_space)).max() > tol.num:
             raise ValueError(f"observable {obs.name} has non-(+/-1) sample space")
-    for a in a_pair:
-        for b in b_pair:
-            if commutator_norm(np.kron(a.matrix(), eye_b),
-                               np.kron(eye_a, b.matrix())) > tol.num:
-                raise ValueError("cross-factor operators do not commute")
 
 
 def chsh_value(state: AlgebraicState, a1: Observable, a2: Observable,

@@ -102,6 +102,9 @@ def _load_kind(doc: dict, tol: Tolerances):
     contexts_doc = doc.get("contexts")
     if not isinstance(axes_doc, dict) or not isinstance(contexts_doc, list):
         raise DocumentError("marginal-problem needs axes dict and contexts list")
+    for name, vals in axes_doc.items():
+        if not isinstance(vals, list):
+            raise DocumentError(f"axes[{name!r}]: expected a list, got {type(vals).__name__}")
     axes = {name: [float(v) for v in vals] for name, vals in axes_doc.items()}
     contexts = []
     for k, ctx in enumerate(contexts_doc):

@@ -160,8 +160,9 @@ class TestGuards:
             sample_chain_leftfold(ChainSpec([Z], 2, "right_fold"), MIXED, 10)
 
     def test_tree_length_limit(self):
+        # 2**22 tuples of 2 x 2 complex entries: 256 MiB, past MAX_TABLE_BYTES.
         with pytest.raises(ValueError):
-            exact_chain_distribution(ChainSpec([Z], 13), MIXED)
+            exact_chain_distribution(ChainSpec([Z], 22), MIXED)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

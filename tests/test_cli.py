@@ -129,6 +129,12 @@ class TestJoint:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] != outputs[1]
 
+    def test_table_past_the_size_guard_exit_2(self, docs, capsys):
+        # 22 binary observables: a 256 MiB table, refused before allocation.
+        assert main(["joint", *[docs["z"]] * 22, "--state", docs["ket0"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MAX_TABLE_BYTES" in err
+
 
 class TestTreeConventions:
     @pytest.mark.parametrize("convention", sorted(FOLD_TREES))
@@ -282,16 +288,17 @@ class TestChain:
         assert capsys.readouterr().out == expected
 
     def test_long_step_chain_without_exact_table(self, docs, capsys):
-        # 13 steps is past the exact table's length limit: the step sampler
-        # still runs and reports the observed tuples without exact values.
+        # The exact table of 22 binary steps (256 MiB) is past MAX_TABLE_BYTES:
+        # the step sampler still runs and reports the observed tuples without
+        # exact values.
         spec = json.loads((docs["tmp"] / "chain.json").read_text())
-        spec["length"] = 13
-        long_chain = write(docs["tmp"] / "chain13.json", spec)
+        spec["length"] = 22
+        long_chain = write(docs["tmp"] / "chain22.json", spec)
         assert main(["--format=json", "chain", long_chain, "--state", docs["ket0"],
                      "--runs", "500", "--mechanism", "step"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert all(r["exact"] is None for r in rows)
-        assert all(len(r["outcomes"].split(",")) == 13 for r in rows)
+        assert all(len(r["outcomes"].split(",")) == 22 for r in rows)
         assert sum(float(r["empirical"]) for r in rows) == pytest.approx(1.0)
         assert main(["chain", long_chain, "--state", docs["ket0"],
                      "--mechanism", "table"]) == 2
@@ -362,6 +369,16 @@ class TestMarginalProblemDocuments:
         with pytest.raises(DocumentError, match=r"contexts\[0\]"):
             load_document(path)
 
+    def test_axis_not_a_list_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path / "problem.json", {
+            "kind": "marginal-problem", "axes": {"A": 3},
+            "contexts": [{"axes": ["A"], "table": [1.0]}],
+        })
+        assert main(["feasible", path]) == 2
+        assert "axes['A']" in capsys.readouterr().err
+        with pytest.raises(DocumentError, match="expected a list"):
+            load_document(path)
+
 
 class TestInputErrors:
     def test_env_seed_not_an_integer_exit_2(self, docs, capsys, monkeypatch):
@@ -375,6 +392,12 @@ class TestInputErrors:
         assert main(["--config", missing, "brackets", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "does-not-exist.json" in err
+
+    def test_config_not_an_object_exit_2(self, docs, capsys):
+        cfg = write(docs["tmp"] / "cfg.json", [1, 2])
+        assert main(["--config", cfg, "brackets", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "top level must be an object" in err
 
     def test_negative_seed_exit_2(self, docs, capsys, monkeypatch):
         monkeypatch.delenv("COLLAPSEKIT_SEED", raising=False)

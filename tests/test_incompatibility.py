@@ -283,6 +283,14 @@ class TestChsh:
         with pytest.raises(ValueError):
             chsh_value(state, bad, z, z, z)
 
+    @pytest.mark.parametrize("slot", [1, 3])
+    def test_settings_of_one_party_differ_in_dimension(self, slot):
+        state, *settings = singlet_setup()
+        settings[slot] = observable("W", np.diag([1.0, -1.0, 1.0]))
+        for check in (chsh_value, chsh_max_over_signs, chsh_marginal_problem):
+            with pytest.raises(ValueError, match="different dimensions"):
+                check(state, *settings)
+
     def test_lp_agrees_with_fine_criterion_singlet(self):
         state, a1, a2, b1, b2 = singlet_setup()
         assert chsh_max_over_signs(state, a1, a2, b1, b2) > 2.0
