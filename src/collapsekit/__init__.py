@@ -16,6 +16,7 @@ from .chain import (
     records,
     sample_chain_leftfold,
     sample_chain_tree,
+    write_records,
 )
 from .collapse_product import (
     BracketTree,
@@ -56,6 +57,7 @@ from .instruments import (
     build_instrument,
     build_joint_instrument,
     interference_comparison,
+    interference_from_joint,
     joint_instrument_probabilities,
     luders_duality_check,
     sequential_probabilities,

@@ -44,6 +44,7 @@ raises `ZeroProbabilityOutcomeError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ from .collapse_product import (
     JointDistribution,
     TableTooLargeError,
     collapse_effect_tree,
+    effect_table_shape,
     joint_distribution,
     require_table_size,
     total_variation,
@@ -74,9 +76,17 @@ __all__ = [
     "compare_conventions",
     "ConventionComparison",
     "records",
+    "write_records",
 ]
 
 CONVENTIONS = tuple(FOLD_TREES)
+
+# Runs per block of the table sampler, and cells (run ids and outcomes) per
+# block of the record writer.  Each block's temporaries take a few hundred
+# kB, so a call's working memory beyond its uniforms and outcomes does not
+# grow with the run count or the chain length.
+_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -125,6 +135,50 @@ def records(outcomes: np.ndarray):
     """View a (runs, n) outcome-index array as OutcomeRecord objects."""
     for r, row in enumerate(outcomes.tolist()):
         yield OutcomeRecord(r, tuple(row))
+
+
+def write_records(outcomes: np.ndarray, stream) -> None:
+    """Write `OutcomeRecord.line()` and a newline for every record of
+    `records(outcomes)` to the text stream `stream`, without building the
+    records: the lines are assembled as ASCII bytes in blocks of at most
+    _BLOCK cells (a run id or an outcome), one `stream.write` per block."""
+    outcomes = np.asarray(outcomes)
+    if outcomes.ndim != 2 or outcomes.shape[1] < 1 or outcomes.dtype.kind not in "iu":
+        raise ValueError("outcomes must be a (runs, n) integer array with n >= 1")
+    if outcomes.size and outcomes.min() < 0:
+        raise ValueError("outcome indices must be non-negative")
+    runs, n = outcomes.shape
+    rows = max(1, _BLOCK // (n + 1))
+    for lo in range(0, runs, rows):
+        block = outcomes[lo:lo + rows]
+        cells = np.empty((len(block), n + 1), dtype=np.int64)
+        cells[:, 0] = np.arange(lo, lo + len(block))
+        cells[:, 1:] = block
+        stream.write(_ascii_lines(cells).decode("ascii"))
+
+
+def _ascii_lines(cells: np.ndarray) -> bytes:
+    """The rows of a non-negative (m, c) integer array, c >= 2, in decimal:
+    the first cell of a row followed by a tab, the last by a newline and
+    the others by a comma."""
+    c = cells.shape[1]
+    values = cells.ravel()
+    digits = np.ones(values.size, dtype=np.int64)
+    for p in range(1, len(str(values.max()))):
+        digits += values >= 10**p
+    ends = np.cumsum(digits + 1)            # one past each cell's separator
+    text = np.full(ends[-1], ord(","), dtype=np.uint8)
+    text[ends[::c] - 1] = ord("\t")
+    text[ends[c - 1::c] - 1] = ord("\n")
+    # Digits from the last: each pass writes one digit of every cell that
+    # still has one.
+    at, rest = ends - 2, values
+    while at.size:
+        rest, digit = np.divmod(rest, 10)
+        text[at] = digit + ord("0")
+        more = rest > 0
+        at, rest = at[more] - 1, rest[more]
+    return text.tobytes()
 
 
 def _uniform_block(seed: int, runs: int, n: int) -> np.ndarray:
@@ -268,8 +322,10 @@ def exact_chain_distribution(spec: ChainSpec, rho0: AlgebraicState,
                              tol: Tolerances = DEFAULT) -> JointDistribution:
     """The exact joint distribution of the chain under its bracketing.
     Raises `TableTooLargeError` when the effect table is past the size
-    guard."""
-    table = collapse_effect_tree(spec.sequence(), spec.tree(), tol)
+    guard, before the chain's tree (one node per step) is built."""
+    sequence = spec.sequence()
+    require_table_size(effect_table_shape(sequence), 16)
+    table = collapse_effect_tree(sequence, spec.tree(), tol)
     return joint_distribution(table, rho0, tol)
 
 
@@ -284,18 +340,42 @@ def sample_chain_tree(spec: ChainSpec, rho0: AlgebraicState, runs: int,
 def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.ndarray:
     """Outcome-index tuples drawn from a joint table by inverse CDF over its
     C-order entries, one uniform per run from the run's substream of `seed`.
-    `sample_chain_tree` is this applied to the chain's exact table.  The
-    tuples and the index arrays they are stacked from take 16 B per run and
-    axis, under `require_table_size`."""
+    `sample_chain_tree` is this applied to the chain's exact table.
+
+    The tuple drawn is the entry at the flat index `np.searchsorted(cdf, u,
+    "right")`: the number of CDF values at or below u.  It is found axis by
+    axis, in blocks of _BLOCK runs, as in the step sampler: axis k's outcome
+    is the number of interior boundaries of the drawn prefix's block at or
+    below u, counted by bisection over the same floats.  The outcomes and the
+    uniforms take at most 16 B per run and axis, under `require_table_size`."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    require_table_size((runs, len(dist.shape)), 16)
+    shape = dist.shape
+    require_table_size((runs, len(shape)), 16)
     cum = np.cumsum(dist.probabilities.ravel())
     cum[-1] = 1.0
     uniforms = _uniform_block(seed, runs, 1)[:, 0]
-    flat_idx = np.searchsorted(cum, uniforms, side="right")
-    multi = np.unravel_index(flat_idx, dist.shape)
-    return np.stack(multi, axis=1).astype(np.int64, copy=False)
+    # In units of axis k's stride, ends[k][i] is the CDF at the end of block
+    # i, so the boundaries of a prefix's block at i are ends[k][i:i + n_k - 1].
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    ends = [cum[s - 1::s] for s in strides]
+    outcomes = np.empty((runs, len(shape)), dtype=np.int64)
+    for lo in range(0, runs, _BLOCK):
+        u = uniforms[lo:lo + _BLOCK]
+        hi = lo + len(u)
+        at = np.zeros(len(u), dtype=np.int64)    # the drawn prefix's block
+        for k, n_k in enumerate(shape):
+            at *= n_k
+            start = at.copy()
+            width = n_k - 1
+            while width > 1:
+                half = width // 2
+                at += half * (ends[k][at + half] <= u)
+                width -= half
+            if width:
+                at += ends[k][at] <= u
+            np.subtract(at, start, out=outcomes[lo:hi, k])
+    return outcomes
 
 
 def empirical_distribution(outcomes: np.ndarray, spec: ChainSpec) -> JointDistribution:

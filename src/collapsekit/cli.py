@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .incompatibility import admits_global_joint, chsh_value
 from .instruments import (
     InstrumentModel,
     build_instrument,
-    interference_comparison,
+    interference_from_joint,
     luders_duality_check,
     sequential_probabilities,
 )
@@ -104,13 +105,20 @@ def _joint_from_args(args, tol):
     return observables, state, joint_distribution(table, state, tol)
 
 
+def _labels(axes) -> list:
+    """The outcome values of each axis, formatted once."""
+    return [[_fmt(v) for v in np.asarray(axis).tolist()] for axis in axes]
+
+
+def _outcome_labels(axes) -> list:
+    """The formatted outcome tuples of a product sample space in C order."""
+    return [",".join(t) for t in itertools.product(*_labels(axes))]
+
+
 def _dist_rows(dist) -> list:
-    rows = []
-    flat = dist.probabilities.ravel()
-    for t, p in zip(dist.tuples(), flat):
-        rows.append({"outcomes": ",".join(_fmt(v) for v in t),
-                     "probability": _fmt(float(p))})
-    return rows
+    return [{"outcomes": t, "probability": _fmt(p)}
+            for t, p in zip(_outcome_labels(dist.axes),
+                            dist.probabilities.ravel().tolist())]
 
 
 def cmd_decompose(args, tol) -> int:
@@ -161,7 +169,7 @@ def cmd_instruments(args, tol) -> int:
         build_instrument(b, b.n_outcomes + 1, tol),
     )
     dist = sequential_probabilities(model, psi, tol)
-    comparison = interference_comparison(model, psi, tol)
+    comparison = interference_from_joint(dist, b, psi)
     duality = luders_duality_check(a, b, psi)
     _emit({
         "joint": _dist_rows(dist),
@@ -215,7 +223,7 @@ def cmd_chain(args, tol) -> int:
         exact = chain_mod.exact_chain_distribution(spec, state, tol)
         outcomes = chain_mod.sample_distribution(exact, spec.seed, args.runs)
     if args.emit_records:
-        print("".join(r.line() + "\n" for r in chain_mod.records(outcomes)), end="")
+        chain_mod.write_records(outcomes, sys.stdout)
         return EXIT_OK
     convention = str(spec.convention)
     try:
@@ -223,23 +231,24 @@ def cmd_chain(args, tol) -> int:
             exact = chain_mod.exact_chain_distribution(spec, state, tol)
     except chain_mod.TableTooLargeError:
         # No exact table at this size: report the tuples that were observed.
-        axes = [obs.sample_space for obs in spec.sequence()]
+        labels = _labels(obs.sample_space for obs in spec.sequence())
         observed, counts = np.unique(outcomes, axis=0, return_counts=True)
         rows = [{
             "convention": convention,
-            "outcomes": ",".join(_fmt(axes[k][i]) for k, i in enumerate(t)),
+            "outcomes": ",".join(labels[k][i] for k, i in enumerate(t)),
             "exact": None,
-            "empirical": _fmt(float(c) / len(outcomes)),
-        } for t, c in zip(observed, counts)]
+            "empirical": _fmt(c / len(outcomes)),
+        } for t, c in zip(observed.tolist(), counts.tolist())]
     else:
         empirical = chain_mod.empirical_distribution(outcomes, spec)
         rows = [{
             "convention": convention,
-            "outcomes": ",".join(_fmt(v) for v in t),
-            "exact": _fmt(float(pe)),
-            "empirical": _fmt(float(pf)),
-        } for t, pe, pf in zip(exact.tuples(), exact.probabilities.ravel(),
-                               empirical.probabilities.ravel())]
+            "outcomes": t,
+            "exact": _fmt(pe),
+            "empirical": _fmt(pf),
+        } for t, pe, pf in zip(_outcome_labels(exact.axes),
+                               exact.probabilities.ravel().tolist(),
+                               empirical.probabilities.ravel().tolist())]
     _emit({"rows": rows}, args.format)
     return EXIT_OK
 

@@ -67,6 +67,7 @@ __all__ = [
     "MAX_TABLE_BYTES",
     "TableTooLargeError",
     "require_table_size",
+    "effect_table_shape",
 ]
 
 
@@ -106,6 +107,18 @@ def require_table_size(shape, itemsize: int) -> None:
         raise TableTooLargeError(
             f"an array of {nbytes} bytes exceeds MAX_TABLE_BYTES = {MAX_TABLE_BYTES}"
         )
+
+
+def effect_table_shape(observables: list) -> tuple:
+    """The shape (*outcome counts, d, d) of the effect table of a measurement
+    sequence, for `require_table_size`, known before any tree is built.
+    Raises DimensionMismatchError when the observables act on different
+    dimensions."""
+    dims = {o.dim for o in observables}
+    if len(dims) != 1:
+        raise DimensionMismatchError("observables act on different dimensions")
+    d = dims.pop()
+    return tuple(o.n_outcomes for o in observables) + (d, d)
 
 
 # --------------------------------------------------------------------------
@@ -323,11 +336,7 @@ def collapse_effect_tree(observables: list, tree: BracketTree,
     item, must pass `require_table_size`; it is checked before the tree is
     walked."""
     n = len(observables)
-    dims = {o.dim for o in observables}
-    if len(dims) != 1:
-        raise DimensionMismatchError("observables act on different dimensions")
-    d = dims.pop()
-    require_table_size([o.n_outcomes for o in observables] + [d, d], 16)
+    require_table_size(effect_table_shape(observables), 16)
     if tree.leaves != tuple(range(n)):
         raise ValueError(
             f"tree leaves {tree.leaves} do not match observables 0..{n - 1}"

@@ -33,6 +33,7 @@ __all__ = [
     "build_instrument",
     "sequential_probabilities",
     "interference_comparison",
+    "interference_from_joint",
     "luders_duality_check",
     "build_joint_instrument",
     "joint_instrument_probabilities",
@@ -141,9 +142,16 @@ def interference_comparison(model: InstrumentModel, psi: VectorState,
     The first column averages over the first instrument's results; the second
     is the bare Born probability.  The columns differ by interference terms
     unless the observables commute on the support of psi."""
-    dist = sequential_probabilities(model, psi, tol)
-    measured = dist.probabilities.sum(axis=0)
-    b = model.second.observable
+    return interference_from_joint(sequential_probabilities(model, psi, tol),
+                                   model.second.observable, psi)
+
+
+def interference_from_joint(joint: JointDistribution, b: Observable,
+                            psi: VectorState) -> list:
+    """`interference_comparison` from pointer statistics already computed:
+    `joint` is `sequential_probabilities` of a model whose second observable
+    is `b`, for the same psi."""
+    measured = joint.probabilities.sum(axis=0)
     vec = psi.amplitudes
     unmeasured = (b.projectors @ vec @ vec.conj()).real
     return [

@@ -1,9 +1,11 @@
+import io
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from collapsekit import chain
 from collapsekit import (
     AlgebraicState,
     ChainSpec,
@@ -15,7 +17,10 @@ from collapsekit import (
     sample_chain_leftfold,
     sample_chain_tree,
     total_variation,
+    write_records,
 )
+from collapsekit.chain import sample_distribution
+from collapsekit.collapse_product import JointDistribution
 from collapsekit.measurement import ZeroProbabilityOutcomeError, observable
 
 from conftest import (
@@ -152,6 +157,113 @@ class TestRecords:
         outcomes = np.array([[0, 1, 1], [1, 0, 0]])
         lines = [r.line() for r in records(outcomes)]
         assert lines == ["0\t0,1,1", "1\t1,0,0"]
+
+
+def written(outcomes) -> list:
+    """The text write_records writes, split after each newline (so that a
+    failing comparison reports the first differing line, not a diff)."""
+    stream = io.StringIO()
+    write_records(outcomes, stream)
+    return stream.getvalue().splitlines(keepends=True)
+
+
+def oracle(outcomes) -> list:
+    return [r.line() + "\n" for r in records(outcomes)]
+
+
+BLOCK = chain._BLOCK
+
+
+class TestWriteRecords:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("runs", [1, 9, 10, 11, 100, 1001,
+                                      BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_equals_the_records(self, runs, n):
+        outcomes = np.random.default_rng(runs).integers(0, 13, size=(runs, n))
+        assert written(outcomes) == oracle(outcomes)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_across_blocks_of_cells(self, n, blocks, extra):
+        # A block holds BLOCK cells: BLOCK // (n + 1) runs of an id and n outcomes.
+        runs = blocks * (BLOCK // (n + 1)) + extra
+        outcomes = np.random.default_rng(runs).integers(0, 13, size=(runs, n))
+        assert written(outcomes) == oracle(outcomes)
+
+    def test_outcome_indices_past_nine(self):
+        # Twelve outcomes, each with probability 1/12.
+        twelve = observable("N", np.diag(np.arange(12.0)))
+        outcomes = sample_chain_leftfold(
+            ChainSpec([twelve], 3), AlgebraicState.maximally_mixed(12), 5000)
+        assert outcomes.max() >= 10
+        assert written(outcomes) == oracle(outcomes)
+
+    def test_a_row_past_the_block(self):
+        outcomes = np.random.default_rng(1).integers(0, 123, size=(3, BLOCK + 5))
+        assert written(outcomes) == oracle(outcomes)
+
+    def test_unsigned_and_zero_runs(self):
+        outcomes = np.array([[7, 0], [10, 1000]], dtype=np.uint16)
+        assert written(outcomes) == ["0\t7,0\n", "1\t10,1000\n"]
+        assert written(np.zeros((0, 2), dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("outcomes", [
+        np.array([[0, -1]]), np.array([0, 1]), np.zeros((2, 0), dtype=np.int64),
+        np.array([[0.0, 1.0]]),
+    ])
+    def test_rejects_what_records_do_not_hold(self, outcomes):
+        with pytest.raises(ValueError):
+            write_records(outcomes, io.StringIO())
+
+
+def reference_draws(dist, u):
+    """The flat inverse-CDF draws of uniforms u by binary search, unravelled."""
+    cum = np.cumsum(dist.probabilities.ravel())
+    cum[-1] = 1.0
+    return np.stack(np.unravel_index(np.searchsorted(cum, u, "right"), dist.shape), 1)
+
+
+def table(probabilities):
+    probabilities = np.asarray(probabilities, dtype=float)
+    return JointDistribution([np.arange(s, dtype=float) for s in probabilities.shape],
+                             probabilities / probabilities.sum())
+
+
+def plateaus(shape, seed):
+    """A table with about a third of its entries, and some whole blocks and
+    its last entries, at zero probability."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(shape) * (rng.random(shape) > 0.35)
+    if len(shape) > 1 and shape[0] > 2:
+        p[1] = 0.0
+    p.reshape(-1)[-3:] = 0.0
+    p.reshape(-1)[0] += 0.01
+    return p
+
+
+class TestSampleDistribution:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (17,), (2, 2, 2), (1, 3, 1),
+                                       (4, 2, 3, 4), (7, 9, 5), (3, 1, 16, 2)])
+    @pytest.mark.parametrize("runs", [1, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_equals_the_flat_binary_search(self, shape, runs):
+        dist = table(plateaus(shape, sum(shape)))
+        drawn = sample_distribution(dist, 23, runs)
+        assert drawn.dtype == np.int64 and drawn.flags.c_contiguous
+        assert drawn.shape == (runs, len(shape))
+        np.testing.assert_array_equal(
+            drawn, reference_draws(dist, philox_uniforms(23, runs, 1)[:, 0]))
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 4), (2, 5, 3)])
+    def test_uniforms_on_the_boundaries(self, shape, monkeypatch):
+        # Every uniform equals a CDF value or lies one float below it: the
+        # draw must break each tie as searchsorted(..., "right") does.
+        dist = table(plateaus(shape, 3))
+        cum = np.cumsum(dist.probabilities.ravel())
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0]])
+        u = u[u < 1.0]
+        monkeypatch.setattr(chain, "_uniform_block", lambda seed, runs, n: u[:, None])
+        np.testing.assert_array_equal(sample_distribution(dist, 0, len(u)),
+                                      reference_draws(dist, u))
 
 
 class TestGuards:

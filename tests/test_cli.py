@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from collapsekit import chain as chain_mod
+from collapsekit import cli, instruments
 from collapsekit.cli import build_parser, main
 from collapsekit.collapse_product import (
     FOLD_TREES,
@@ -176,6 +177,57 @@ class TestInstruments:
         table = {r["outcomes"]: float(r["probability"]) for r in payload["joint"]}
         assert table["1,1"] == pytest.approx(0.5)
         assert float(payload["luders_duality_max_deviation"]) <= 1e-12
+
+
+    def test_pointer_statistics_computed_once(self, docs, capsys, monkeypatch):
+        calls = []
+        compute = cli.sequential_probabilities
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compute(*args, **kwargs)
+
+        # The CLI's own name and the one the instruments module calls.
+        monkeypatch.setattr(cli, "sequential_probabilities", counting)
+        monkeypatch.setattr(instruments, "sequential_probabilities", counting)
+        assert main(["--format=json", "instruments", docs["z"], docs["x"],
+                     "--vector", docs["vec0"]]) == 0
+        assert len(calls) == 1
+        rows = json.loads(capsys.readouterr().out)["interference"]
+        assert [(r["with_first_measured"], r["without_first"]) for r in rows] == [
+            ("0.5", "0.5"), ("0.5", "0.5")]
+
+
+class TestOutcomeLabels:
+    """Each printed outcome tuple is its values at 12 significant digits,
+    joined by commas, in the table's C order."""
+
+    @staticmethod
+    def expected(dist):
+        return [",".join(f"{v:.12g}" for v in t) for t in dist.tuples()]
+
+    def test_joint_and_chain_rows(self, docs, capsys):
+        awkward = write(docs["tmp"] / "awkward.json", {
+            "kind": "observable", "name": "W",
+            "matrix": [[1 / 3, 0.0, 0.0], [0.0, -2.5e-7, 0.0],
+                       [0.0, 0.0, 12345.678901234]],
+        })
+        state = write(docs["tmp"] / "mixed3.json", {
+            "kind": "state", "matrix": (np.eye(3) / 3).tolist()})
+        spec = write(docs["tmp"] / "awkward-chain.json", {
+            "kind": "chain-spec", "length": 3, "seed": 2,
+            "observables": [json.loads((docs["tmp"] / "awkward.json").read_text())],
+        })
+        observables = [load_document(awkward)] * 2
+        dist = joint_distribution(collapse_effect_tree(
+            observables, FOLD_TREES["left_fold"](2)), load_document(state))
+        assert main(["--format=json", "joint", awkward, awkward, "--state", state]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["outcomes"] for r in rows] == self.expected(dist)
+        exact = chain_mod.exact_chain_distribution(load_document(spec), load_document(state))
+        assert main(["--format=json", "chain", spec, "--state", state]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["outcomes"] for r in rows] == self.expected(exact)
 
 
 class TestChsh:

@@ -130,6 +130,17 @@ class TestChainLength:
         assert dist.shape == (1,) * 30
         assert dist.probabilities.ravel().tolist() == [1.0]
 
+    def test_refused_before_the_tree_is_built(self, monkeypatch):
+        def no_tree(spec):
+            raise AssertionError("the tree of a refused chain was built")
+
+        monkeypatch.setattr(ChainSpec, "tree", no_tree)
+        with pytest.raises(TableTooLargeError, match="1000002 axes"):
+            exact_chain_distribution(ChainSpec([Z], 10**6), MIXED)
+        # 2**22 tuples of 2 x 2 complex entries: 256 MiB.
+        with pytest.raises(TableTooLargeError, match="MAX_TABLE_BYTES"):
+            exact_chain_distribution(ChainSpec([Z, X], 22), MIXED)
+
     def test_refused_before_the_tree_is_walked(self):
         # A tree this deep would exceed the recursion limit if walked.
         with pytest.raises(TableTooLargeError):
