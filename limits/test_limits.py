@@ -3,7 +3,7 @@
 Builds the largest left-fold and right-fold effect tables that
 `MAX_TABLE_BYTES` admits, once each, and checks that every entry is PSD and
 the entries sum to the identity, that the probabilities sum to 1, and that
-the step sampler agrees with the left-fold table.  Each table takes several
+the left fold's exact law and its step sampler agree with its table.  Each table takes several
 seconds and a few hundred MB, so this module sits outside the Tier-1
 `testpaths`:
 
@@ -70,6 +70,16 @@ def test_probabilities_sum_to_one(largest):
     dist = joint_distribution(table, STATE)
     assert dist.probabilities.min() >= 0.0
     assert abs(dist.probabilities.sum() - 1.0) <= DEFAULT.num
+
+
+@pytest.mark.parametrize("largest", ["left_fold"], indirect=True)
+def test_exact_law_is_the_table_law(largest):
+    """The left fold's exact law, from the step sampler's prefix recursion,
+    against the trace of its effect table."""
+    spec, table = largest
+    exact = exact_chain_distribution(spec, STATE)
+    expected = joint_distribution(table, STATE)
+    assert np.abs(exact.probabilities - expected.probabilities).max() <= 1e-12
 
 
 @pytest.mark.parametrize("largest", ["left_fold"], indirect=True)

@@ -6,13 +6,16 @@ substreams that can be evaluated in any order with byte-identical results.
 
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
-chain length), and direct sampling of the exact effect table for any
-bracketing.  For the left fold the two induce the same distribution.  The
-exact table holds one d x d entry per outcome tuple, so its size, not a
-fixed step count, bounds the chain: `collapse_product.require_table_size`
-refuses a table past `MAX_TABLE_BYTES` or 32 axes with `TableTooLargeError`
-before allocating it.  The samplers' outcome arrays go through the same
-check.
+chain length), and direct sampling of the exact joint distribution for any
+bracketing.  For the left fold that exact law is the step sampler's own
+recursion run over every outcome prefix instead of the drawn ones, with the
+same frames and root updates, so the two mechanisms agree by construction;
+other bracketings trace the effect table of `collapse_effect_tree`.  The
+effect table holds one d x d entry per outcome tuple, and its size, not a
+fixed step count, bounds the chain under every bracketing:
+`collapse_product.require_table_size` refuses a chain whose table would be
+past `MAX_TABLE_BYTES` or 32 axes with `TableTooLargeError` before anything
+is built.  The samplers' outcome arrays go through the same check.
 
 The per-step collapse tracks the PSD root S of the accumulated effect
 (S <- sqrt(S P S)); the conditional state after k outcomes is S rho S up to
@@ -39,7 +42,8 @@ has rank one stops branching.  Every new root is taken of S P S rescaled to
 unit trace.  The probabilities are scale-free and the root is positively
 homogeneous, so this changes no outcome, but it keeps the prefix's mass
 from underflowing at any chain length.  A prefix whose mass vanishes anyway
-raises `ZeroProbabilityOutcomeError`.
+raises `ZeroProbabilityOutcomeError` in the sampler; in the exact law its
+tuples are zeros.
 """
 
 from __future__ import annotations
@@ -61,8 +65,13 @@ from .collapse_product import (
     total_variation,
 )
 from .config import DEFAULT, Tolerances
-from .measurement import AlgebraicState, Observable, ZeroProbabilityOutcomeError
-from .operator_core import batched_psd_sqrt
+from .measurement import (
+    AlgebraicState,
+    Observable,
+    ZeroProbabilityOutcomeError,
+    clamp_probabilities,
+)
+from .operator_core import DimensionMismatchError, batched_psd_sqrt
 
 __all__ = [
     "ChainSpec",
@@ -272,6 +281,46 @@ def _unit_trace(grown: np.ndarray) -> np.ndarray:
     return grown / trace[:, None, None]
 
 
+def _frames(root: np.ndarray, first: np.ndarray, heads: np.ndarray,
+            density: np.ndarray, tol: Tolerances):
+    """The frame of each first outcome in `heads` (indices into the stack
+    `first`) after an initial accumulated root R, and what starts there.
+
+    The roots of the prefixes that begin with outcome P stay inside the range
+    of R P R, which the top eigenvectors of R P R span: the frame, as wide as
+    the largest rank in `heads`.  Returns the (h, d, w) frames, the state in
+    each frame, the (h, w, w) roots sqrt(R P R) at unit trace in their
+    frames, and whether each root has rank above one; a root of rank one
+    stays |u><u| for ever, so its prefix stops branching."""
+    rank = _ranks(first)[heads]
+    width = int(rank.max())
+    vals, vecs = np.linalg.eigh(_unit_trace(root @ first[heads] @ root))
+    frames = vecs[..., -width:]
+    states = frames.conj().swapaxes(1, 2) @ density @ frames
+    # R P R in its frame is diagonal: I_r / r for R = I.
+    eye = np.eye(width, dtype=np.complex128)
+    roots = batched_psd_sqrt(eye * vals[:, None, -width:], tol)
+    return frames, states, roots, rank > 1
+
+
+def _in_frames(frames: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """A projector stack (n, d, d) in every frame (h, d, w): (h, n, w, w)."""
+    return frames.conj().swapaxes(1, 2)[:, None] @ stack @ frames[:, None]
+
+
+def _next_roots(roots: np.ndarray, projs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The root after one more outcome: sqrt(S P S) rescaled to unit trace,
+    for every root S (at unit trace) and projector P of two aligned
+    (g, w, w) stacks.  An outcome that keeps at most tol.prob of the trace
+    cannot be conditioned on: its root is zero, never a rescaled rounding
+    residue."""
+    grown = roots @ projs @ roots
+    trace = np.einsum("gaa->g", grown).real
+    live = (trace > tol.prob)[:, None, None]
+    unit = np.divide(grown, trace[:, None, None], out=np.zeros_like(grown), where=live)
+    return batched_psd_sqrt(unit, tol)
+
+
 def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
                     root: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The step sampler's draws from an initial accumulated root `root`.
@@ -286,24 +335,12 @@ def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
     outcomes[:, 0] = idx
     if n == 1:
         return outcomes
-    # One group per first outcome drawn.  Its roots stay inside the range of
-    # R P R (R = root, P its projector), which the top eigenvectors of R P R
-    # span: the group's frame, as wide as the largest rank drawn.
+    # One group, and one frame, per first outcome drawn.
     group, _, drawn = _regroup(group, idx, np.ones(1, dtype=bool), len(first))
-    rank = _ranks(first)[drawn]
-    width = int(rank.max())
-    vals, vecs = np.linalg.eigh(_unit_trace(root @ first[drawn] @ root))
-    frames = vecs[..., -width:]
-    adjoint = frames.conj().swapaxes(1, 2)
-    states = adjoint @ density @ frames
-    # R P R in its frame is diagonal: I_r / r for R = I.
-    eye = np.eye(width, dtype=np.complex128)
-    roots = batched_psd_sqrt(eye * vals[:, None, -width:], tol)
+    frames, states, roots, branches = _frames(root, first, drawn, density, tol)
     home = np.arange(len(drawn))             # group -> its first outcome's frame
-    # A root of rank one stays |u><u| for ever, so its group stops branching.
-    branches = rank > 1
     for k in range(1, n):
-        projs = adjoint[:, None] @ stacks[k] @ frames[:, None]
+        projs = _in_frames(frames, stacks[k])
         idx = _draw(roots, states[home], projs[home], group, uniforms[:, k], tol)
         outcomes[:, k] = idx
         if k + 1 == n or not branches.any():
@@ -312,21 +349,78 @@ def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
         grow = branches[parent]
         branches = grow & (_ranks(stacks[k])[last] > 1)
         home, roots = home[parent], roots[parent]
-        s = roots[grow]
-        grown = s @ projs[home[grow], last[grow]] @ s
-        roots[grow] = batched_psd_sqrt(_unit_trace(grown), tol)
+        roots[grow] = _next_roots(roots[grow], projs[home[grow], last[grow]], tol)
     return outcomes
+
+
+def _leftfold_law(stacks: list, density: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Tr[rho E] for the left-fold effect E of every outcome tuple, in C
+    order: the step sampler's recursion run over every prefix instead of
+    the drawn ones, with the same frames and the same root updates.
+
+    Each prefix of length 1 .. n-1 carries its root S at unit trace and its
+    effect's trace t, a product of the shares Tr[S P S] of its outcomes; a
+    tuple's probability is t Tr[S rho S P] of its last outcome, so no mass
+    is divided by.  Prefixes sit in C order as (first outcome, rest), and
+    block f shares frame f.  Once no root branches, the roots are no longer
+    repeated per prefix: each serves the block of its descendants."""
+    first = stacks[0]
+    if len(stacks) == 1:
+        return np.einsum("ab,jba->j", density, first).real
+    heads = np.arange(len(first))
+    frames, states, roots, branches = _frames(
+        np.eye(len(density), dtype=np.complex128), first, heads, density, tol)
+    # Roots (h, g, w, w) and prefix masses (h, g, m): the m prefixes of
+    # block g of frame h share root g.
+    roots, branches = roots[:, None], branches[:, None]
+    mass = np.einsum("jaa->j", first).real[:, None, None]     # Tr P
+    for stack in stacks[1:-1]:
+        projs = _in_frames(frames, stack)
+        share = np.einsum("fgab,fjba->fgj", roots @ roots, projs).real
+        mass = mass[..., None] * share[:, :, None]
+        if branches.any():
+            n = len(stack)
+            grow = np.repeat(branches, n, axis=1)
+            roots = np.repeat(roots, n, axis=1)
+            f, c = np.nonzero(grow)
+            roots[f, c] = _next_roots(roots[f, c], projs[f, c % n], tol)
+            branches = grow & np.tile(_ranks(stack) > 1, grow.shape[1] // n)
+        mass = mass.reshape(*roots.shape[:2], -1)
+    conditional = roots @ states[:, None] @ roots
+    probs = np.einsum("fgab,fjba->fgj", conditional, _in_frames(frames, stacks[-1])).real
+    return (mass[..., None] * probs[:, :, None]).ravel()
+
+
+def _table_shape(spec: ChainSpec) -> tuple:
+    """`effect_table_shape(spec.sequence())`, from one dimension and outcome
+    count per observable of the cycle, without the sequence."""
+    *counts, d, _ = effect_table_shape(spec.observables[:spec.length])
+    cycles = -(-spec.length // len(counts))
+    return (tuple(counts) * cycles)[:spec.length] + (d, d)
 
 
 def exact_chain_distribution(spec: ChainSpec, rho0: AlgebraicState,
                              tol: Tolerances = DEFAULT) -> JointDistribution:
     """The exact joint distribution of the chain under its bracketing.
-    Raises `TableTooLargeError` when the effect table is past the size
-    guard, before the chain's tree (one node per step) is built."""
+
+    The left fold's law is the step sampler's recursion over every outcome
+    prefix: r x r roots in the frame of the first outcome, and probabilities
+    alone at the last step.  Other bracketings trace the effect table of
+    `collapse_effect_tree`.  Either way the probabilities are clamped and
+    renormalised by `clamp_probabilities`.  Raises `TableTooLargeError` when
+    the effect table is past the size guard, before the chain's sequence or
+    tree is built."""
+    shape = _table_shape(spec)
+    require_table_size(shape, 16)
     sequence = spec.sequence()
-    require_table_size(effect_table_shape(sequence), 16)
-    table = collapse_effect_tree(sequence, spec.tree(), tol)
-    return joint_distribution(table, rho0, tol)
+    if spec.convention != "left_fold":
+        table = collapse_effect_tree(sequence, spec.tree(), tol)
+        return joint_distribution(table, rho0, tol)
+    if shape[-1] != rho0.dim:
+        raise DimensionMismatchError("effects/state dimension mismatch")
+    raw = _leftfold_law([obs.projectors for obs in sequence], rho0.density, tol)
+    probs = clamp_probabilities(raw, tol).reshape(shape[:-2])
+    return JointDistribution([np.asarray(obs.sample_space) for obs in sequence], probs)
 
 
 def sample_chain_tree(spec: ChainSpec, rho0: AlgebraicState, runs: int,

@@ -35,7 +35,7 @@ from .measurement import (
     AlgebraicState,
     Observable,
     clamp_probabilities,
-    povm_from_mixture,
+    require_kappa_table,
 )
 from .operator_core import (
     DimensionMismatchError,
@@ -355,11 +355,13 @@ def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,
     """Collapse product of two POVMs relative to a shared generating set
     {Q_lambda}: effect(X, Y) = sum_{lm, mu} kA[lm,X] kB[mu,Y] sqrt(Q_lm) Q_mu sqrt(Q_lm).
     """
-    ka = np.asarray(kappa_a, dtype=float)
-    kb = np.asarray(kappa_b, dtype=float)
-    # Each POVM must be the stated mixture; the rebuild validates kappa and Q.
+    # Each POVM must be the stated mixture of the Q set, validated once.
+    qstack = require_effects(qs, tol)
+    ka, kb = (require_kappa_table(k, len(qstack), tol) for k in (kappa_a, kappa_b))
     for povm, kap, label in ((e_a, ka, "A"), (e_b, kb, "B")):
-        rebuilt = povm_from_mixture(kap, qs, povm.sample_points, tol).effects
+        if len(povm.sample_points) != kap.shape[1]:
+            raise ValueError("sample point count does not match the kappa table")
+        rebuilt = np.einsum("lx,lab->xab", kap, qstack)
         given = povm.effects
         if given.shape != rebuilt.shape or max_entry_norm(rebuilt - given) > tol.num:
             raise ValueError(f"POVM {label} is not the stated mixture of the Q set")

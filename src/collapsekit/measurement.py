@@ -43,6 +43,7 @@ __all__ = [
     "pvm_from_observable",
     "discretize_observable",
     "povm_from_mixture",
+    "require_kappa_table",
     "clamp_probabilities",
 ]
 
@@ -293,21 +294,28 @@ def discretize_observable(
     return Observable(f"{a.name}_d", decomp)
 
 
-def povm_from_mixture(kappas, qs, sample_points=None, tol: Tolerances = DEFAULT) -> POVM:
-    """Build a POVM E(X) = sum_lambda kappa_lambda(X) Q_lambda.
-
-    `kappas` is a (n_lambda, n_points) table of nonnegative reals whose rows
-    are normalized measures; the PSD operators `qs` must sum to the identity,
-    which is sufficient for the effects to normalize.
-    """
+def require_kappa_table(kappas, n_q: int, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Validate a (n_q, n_points) table of nonnegative reals whose rows are
+    normalized measures, one row per Q operator; return it as floats."""
     kap = np.asarray(kappas, dtype=float)
-    if kap.ndim != 2 or kap.shape[0] != len(qs):
+    if kap.ndim != 2 or kap.shape[0] != n_q:
         raise ValueError("kappa table shape does not match the Q list")
     if kap.min() < 0:
         raise ValueError("negative kappa entry")
     row_sums = kap.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > tol.num):
         raise ValueError("each kappa row must be a normalized measure")
+    return kap
+
+
+def povm_from_mixture(kappas, qs, sample_points=None, tol: Tolerances = DEFAULT) -> POVM:
+    """Build a POVM E(X) = sum_lambda kappa_lambda(X) Q_lambda.
+
+    `kappas` is a (n_lambda, n_points) table as `require_kappa_table`
+    demands; the PSD operators `qs` must sum to the identity, which is
+    sufficient for the effects to normalize.
+    """
+    kap = require_kappa_table(kappas, len(qs), tol)
     stack = require_effects(qs, tol)
     n_points = kap.shape[1]
     if sample_points is None:

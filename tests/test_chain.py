@@ -20,8 +20,14 @@ from collapsekit import (
     write_records,
 )
 from collapsekit.chain import sample_distribution
-from collapsekit.collapse_product import JointDistribution
+from collapsekit.collapse_product import (
+    JointDistribution,
+    collapse_effect_tree,
+    joint_distribution,
+    left_fold_tree,
+)
 from collapsekit.measurement import ZeroProbabilityOutcomeError, observable
+from collapsekit.operator_core import DimensionMismatchError
 
 from conftest import (
     PAULI_X,
@@ -418,3 +424,111 @@ class TestFirstOutcomeRange:
             observed = np.bincount(pairs, minlength=len(expected))
             chi2 = float(((observed - expected) ** 2 / expected).sum())
             assert stats.chi2.sf(chi2, len(expected) - 1) > 1e-3
+
+
+def table_law(spec, rho):
+    """The left fold's law traced from its effect table: the reference for
+    the prefix recursion of `exact_chain_distribution`."""
+    table = collapse_effect_tree(spec.sequence(), left_fold_tree(spec.length))
+    return joint_distribution(table, rho)
+
+
+# (dimension, spectrum of the first observable, chain length, pure state).
+# Later observables: a non-degenerate one (rank-one outcomes) and one with
+# outcome ranks (2, 1, ..., 1), cycled after the first.
+LAW_CASES = [
+    (2, [0, 1], 1, False),
+    (2, [0, 1], 2, True),
+    (2, [0, 1], 5, False),
+    (3, [0, 0, 1], 1, True),
+    (3, [0, 0, 1], 2, False),
+    (3, [0, 1, 2], 4, True),
+    (4, [0, 0, 1, 1], 2, True),
+    (4, [0, 0, 1, 1], 4, False),
+    (4, [0, 0, 1, 2], 4, True),
+    (5, [0, 0, 0, 1, 1], 3, False),
+    (5, [0, 1, 2, 3, 4], 3, True),
+    (6, [0, 0, 1, 1, 2, 2], 3, False),
+    (6, [0, 0, 0, 1, 1, 1], 4, True),
+    (6, [0, 0, 1, 2, 3, 4], 3, False),
+]
+
+
+def law_case(d, first, n, pure):
+    rng = np.random.default_rng([d, n, len(set(first)), int(pure)])
+    observables = [degenerate_observable(rng, d, "F", first),
+                   degenerate_observable(rng, d, "N", np.arange(d)),
+                   degenerate_observable(rng, d, "M", [0] + list(range(d - 1)))]
+    rho = (AlgebraicState.pure(random_unitary(rng, d)[:, 0]) if pure
+           else random_density(rng, d))
+    return ChainSpec(observables, n, seed=int(rng.integers(2**63))), rho
+
+
+class TestExactLeftFoldLaw:
+    # The left fold's exact law comes from the step sampler's frames and
+    # root updates run over every prefix; the effect table stays the
+    # reference.
+
+    @pytest.mark.parametrize("case", LAW_CASES, ids=str)
+    def test_equals_the_effect_table(self, case):
+        spec, rho = law_case(*case)
+        expected = table_law(spec, rho)
+        dist = exact_chain_distribution(spec, rho)
+        assert dist.shape == expected.shape
+        for axis, reference in zip(dist.axes, expected.axes):
+            np.testing.assert_array_equal(axis, reference)
+        assert np.abs(dist.probabilities - expected.probabilities).max() <= 1e-13
+
+    @pytest.mark.parametrize("case", LAW_CASES, ids=str)
+    def test_table_sampler_draws_from_the_effect_table(self, case):
+        spec, rho = law_case(*case)
+        runs = 20_000
+        expected = table_law(spec, rho)
+        drawn = sample_chain_tree(spec, rho, runs)
+        reference = sample_distribution(expected, spec.seed, runs)
+        # A run may differ only where its uniform is within 1e-9 of a CDF
+        # value of the reference law.
+        cum = np.cumsum(expected.probabilities.ravel())
+        u = philox_uniforms(spec.seed, runs, 1)[:, 0]
+        margin = np.abs(u[:, None] - cum[None, :]).min(axis=1)
+        assert_same_draws(drawn, reference, margin)
+
+    def test_zero_mass_tuples_are_exact_zeros(self):
+        # Outcome 0 of Z is -1, which |0> never shows.
+        dist = exact_chain_distribution(ChainSpec([Z], 2), KET0)
+        assert dist.probabilities.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        dist = exact_chain_distribution(ChainSpec([Z, X], 4), KET0)
+        assert (dist.probabilities[0] == 0.0).all()
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_repeated_degenerate_observable(self, rotated):
+        # Rank-two outcomes measured again: every prefix that changes its
+        # outcome has zero mass, so its root update meets S P S = 0, exactly
+        # in the eigenbasis and up to rounding in a rotated one.
+        rng = np.random.default_rng(44)
+        u = random_unitary(rng, 4) if rotated else np.eye(4)
+        a = observable("A", (u * np.array([0.0, 0.0, 1.0, 1.0])) @ u.conj().T)
+        b = degenerate_observable(rng, 4, "B", [0, 1, 2, 2])
+        spec = ChainSpec([a, a, b, a], 4)
+        rho = random_density(rng, 4)
+        dist = exact_chain_distribution(spec, rho)
+        expected = table_law(spec, rho)
+        assert np.abs(dist.probabilities - expected.probabilities).max() <= 1e-13
+        if not rotated:
+            assert (dist.probabilities[0, 1] == 0.0).all()
+            assert (dist.probabilities[1, 0] == 0.0).all()
+
+    def test_other_bracketings_trace_the_table(self):
+        rng = np.random.default_rng(7)
+        observables = [degenerate_observable(rng, 3, f"O{i}", [0, 0, 1]) for i in range(2)]
+        rho = random_density(rng, 3)
+        for convention in ("right_fold", "reverse_fold", left_fold_tree(3)):
+            spec = ChainSpec(observables, 3, convention)
+            table = collapse_effect_tree(spec.sequence(), spec.tree())
+            np.testing.assert_array_equal(
+                exact_chain_distribution(spec, rho).probabilities,
+                joint_distribution(table, rho).probabilities)
+
+    def test_state_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            exact_chain_distribution(ChainSpec([Z, X], 3), AlgebraicState.maximally_mixed(3))

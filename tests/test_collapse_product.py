@@ -21,12 +21,14 @@ from collapsekit import (
     right_fold_tree,
     sequential_product,
 )
+from collapsekit import collapse_product
 from collapsekit.collapse_product import JointEffectTable, _combine
 from collapsekit.measurement import observable
 from collapsekit.operator_core import (
     NonHermitianError,
     NotPositiveSemidefiniteError,
     commutator_norm,
+    require_effects,
 )
 
 from conftest import (
@@ -309,6 +311,34 @@ class TestQRelativeCollapse:
         e_b = povm_from_mixture(np.eye(2), X.projectors)
         with pytest.raises(ValueError):
             q_relative_collapse(e_a, e_b, np.eye(2), np.eye(2), Z.projectors)
+
+    def test_q_set_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting(operators, tol=DEFAULT):
+            calls.append(len(operators))
+            return require_effects(operators, tol)
+
+        ka = np.array([[0.25, 0.75], [1.0, 0.0]])
+        e_a = povm_from_mixture(ka, Z.projectors)
+        e_b = povm_from_mixture(np.eye(2), Z.projectors)
+        expected = q_relative_collapse(e_a, e_b, ka, np.eye(2), Z.projectors)
+        monkeypatch.setattr(collapse_product, "require_effects", counting)
+        table = q_relative_collapse(e_a, e_b, ka, np.eye(2), Z.projectors)
+        assert calls == [2]
+        np.testing.assert_array_equal(table.effects, expected.effects)
+
+    @pytest.mark.parametrize("kappa_b, qs, message", [
+        (np.array([[0.5, 0.4], [0.0, 1.0]]), Z.projectors, "normalized measure"),
+        (np.array([[-0.1, 1.1], [0.0, 1.0]]), Z.projectors, "negative kappa"),
+        (np.eye(3), Z.projectors, "kappa table shape"),
+        (np.eye(2), [np.eye(2), np.eye(2)], "sum to the identity"),
+        (np.array([[1.0], [1.0]]), Z.projectors, "sample point count"),
+    ])
+    def test_invalid_mixtures_rejected(self, kappa_b, qs, message):
+        e_a = povm_from_mixture(np.eye(2), Z.projectors)
+        with pytest.raises(ValueError, match=message):
+            q_relative_collapse(e_a, e_a, np.eye(2), kappa_b, qs)
 
 
 class TestJointDistribution:

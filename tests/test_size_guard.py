@@ -21,10 +21,12 @@ from collapsekit.collapse_product import (
     JointDistribution,
     TableTooLargeError,
     collapse_effect_tree,
+    effect_table_shape,
     left_fold_tree,
     require_table_size,
 )
 from collapsekit.measurement import AlgebraicState, observable
+from collapsekit.operator_core import DimensionMismatchError
 
 from conftest import PAULI_X, PAULI_Z, random_density, random_unitary
 
@@ -140,6 +142,31 @@ class TestChainLength:
         # 2**22 tuples of 2 x 2 complex entries: 256 MiB.
         with pytest.raises(TableTooLargeError, match="MAX_TABLE_BYTES"):
             exact_chain_distribution(ChainSpec([Z, X], 22), MIXED)
+
+    def test_refused_before_the_sequence_is_built(self, monkeypatch):
+        def no_sequence(spec):
+            raise AssertionError("the sequence of a refused chain was built")
+
+        monkeypatch.setattr(ChainSpec, "sequence", no_sequence)
+        with pytest.raises(TableTooLargeError, match="1000002 axes"):
+            exact_chain_distribution(ChainSpec([Z], 10**6), MIXED)
+        with pytest.raises(TableTooLargeError, match="MAX_TABLE_BYTES"):
+            exact_chain_distribution(ChainSpec([Z, X], 22), MIXED)
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_shape_from_the_cycle(self, length):
+        # Four, one and three outcomes, cycled.
+        family = [observable("F", np.diag([0.0, 1.0, 2.0, 3.0])),
+                  observable("I4", np.eye(4)),
+                  observable("T", np.diag([0.0, 1.0, 2.0, 2.0]))]
+        spec = ChainSpec(family, length)
+        assert chain._table_shape(spec) == effect_table_shape(spec.sequence())
+
+    def test_only_the_observables_reached_count(self):
+        three = observable("T", np.diag([0.0, 1.0, 2.0]))
+        assert exact_chain_distribution(ChainSpec([Z, three], 1), MIXED).shape == (2,)
+        with pytest.raises(DimensionMismatchError):
+            exact_chain_distribution(ChainSpec([Z, three], 2), MIXED)
 
     def test_refused_before_the_tree_is_walked(self):
         # A tree this deep would exceed the recursion limit if walked.
