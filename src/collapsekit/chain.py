@@ -10,8 +10,10 @@ chain length), and direct sampling of the exact joint distribution for any
 bracketing.  For the left fold that exact law is the step sampler's own
 recursion run over every outcome prefix instead of the drawn ones, with the
 same frames and root updates, so the two mechanisms agree by construction;
-other bracketings trace the effect table of `collapse_effect_tree`.  The
-effect table holds one d x d entry per outcome tuple, and its size, not a
+other bracketings trace the effect table of `collapse_effect_tree`.
+The CLI's `joint` and `equivalence` take their law from here too.  A
+structurally zero tuple may carry rounding residue (about 1e-18 or less)
+whose digits depend on the arithmetic path.  The effect table holds one d x d entry per outcome tuple, and its size, not a
 fixed step count, bounds the chain under every bracketing:
 `collapse_product.require_table_size` refuses a chain whose table would be
 past `MAX_TABLE_BYTES` or 32 axes with `TableTooLargeError` before anything
@@ -226,7 +228,7 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     require_table_size((runs, spec.length), 16)
     uniforms = _uniform_block(spec.seed, runs, spec.length)
     return _leftfold_draws([obs.projectors for obs in sequence], rho0.density,
-                           uniforms, np.eye(d, dtype=np.complex128), tol)
+                           uniforms, tol)
 
 
 def _require_mass(mass: np.ndarray, floor) -> None:
@@ -275,29 +277,24 @@ def _regroup(group, idx, branches, n_outcomes):
     return (np.cumsum(seen) - 1)[keys], parent, last
 
 
-def _unit_trace(grown: np.ndarray) -> np.ndarray:
-    trace = np.einsum("gaa->g", grown).real
-    _require_mass(trace, 0.0)        # never divide by a rounded-off zero
-    return grown / trace[:, None, None]
-
-
-def _frames(root: np.ndarray, first: np.ndarray, heads: np.ndarray,
-            density: np.ndarray, tol: Tolerances):
+def _frames(first: np.ndarray, heads: np.ndarray, density: np.ndarray,
+            tol: Tolerances):
     """The frame of each first outcome in `heads` (indices into the stack
-    `first`) after an initial accumulated root R, and what starts there.
+    `first`), and what starts there.
 
     The roots of the prefixes that begin with outcome P stay inside the range
-    of R P R, which the top eigenvectors of R P R span: the frame, as wide as
+    of P, which the top eigenvectors of P / Tr P span: the frame, as wide as
     the largest rank in `heads`.  Returns the (h, d, w) frames, the state in
-    each frame, the (h, w, w) roots sqrt(R P R) at unit trace in their
-    frames, and whether each root has rank above one; a root of rank one
-    stays |u><u| for ever, so its prefix stops branching."""
-    rank = _ranks(first)[heads]
+    each frame, the (h, w, w) roots sqrt(P / Tr P) in their frames, and
+    whether each root has rank above one; a root of rank one stays |u><u|
+    for ever, so its prefix stops branching."""
+    projs = first[heads]
+    rank = _ranks(projs)
     width = int(rank.max())
-    vals, vecs = np.linalg.eigh(_unit_trace(root @ first[heads] @ root))
+    vals, vecs = np.linalg.eigh(projs / np.einsum("gaa->g", projs).real[:, None, None])
     frames = vecs[..., -width:]
     states = frames.conj().swapaxes(1, 2) @ density @ frames
-    # R P R in its frame is diagonal: I_r / r for R = I.
+    # P / Tr P in its frame is diagonal: I_r / r.
     eye = np.eye(width, dtype=np.complex128)
     roots = batched_psd_sqrt(eye * vals[:, None, -width:], tol)
     return frames, states, roots, rank > 1
@@ -310,20 +307,31 @@ def _in_frames(frames: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def _next_roots(roots: np.ndarray, projs: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The root after one more outcome: sqrt(S P S) rescaled to unit trace,
-    for every root S (at unit trace) and projector P of two aligned
-    (g, w, w) stacks.  An outcome that keeps at most tol.prob of the trace
-    cannot be conditioned on: its root is zero, never a rescaled rounding
-    residue."""
+    for every root S and projector P of two aligned (g, w, w) stacks.  An
+    outcome that keeps at most tol.prob of Tr[S S] cannot be conditioned on:
+    its root is zero, never a rescaled rounding residue.  Both the cut and
+    the root are unchanged when S is rescaled."""
     grown = roots @ projs @ roots
     trace = np.einsum("gaa->g", grown).real
-    live = (trace > tol.prob)[:, None, None]
+    scale = np.einsum("gab,gab->g", roots, roots.conj()).real
+    live = (trace > tol.prob * scale)[:, None, None]
     unit = np.divide(grown, trace[:, None, None], out=np.zeros_like(grown), where=live)
     return batched_psd_sqrt(unit, tol)
 
 
+def _extend(roots, home, branches, parent, last, projs, stack, tol: Tolerances):
+    """The prefix step of the sampler and the law: prefix i becomes prefix
+    parent[i] then outcome last[i] of `stack` (projs in each frame).
+    Returns the new roots, frames (home) and which roots still branch."""
+    grow = branches[parent]
+    home, roots = home[parent], roots[parent]
+    roots[grow] = _next_roots(roots[grow], projs[home[grow], last[grow]], tol)
+    return roots, home, grow & (_ranks(stack)[last] > 1)
+
+
 def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
-                    root: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The step sampler's draws from an initial accumulated root `root`.
+                    tol: Tolerances) -> np.ndarray:
+    """The step sampler's draws.
 
     stacks[k] is the (n_k, d, d) projector stack of step k; row r of
     `uniforms` drives run r by inverse CDF over the outcomes in order."""
@@ -331,13 +339,14 @@ def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
     outcomes = np.empty((runs, n), dtype=np.int64)
     first = stacks[0]
     group = np.zeros(1, dtype=np.int64)     # one group, broadcast over the runs
-    idx = _draw(root[None], density[None], first[None], group, uniforms[:, 0], tol)
+    eye = np.eye(len(density), dtype=np.complex128)
+    idx = _draw(eye[None], density[None], first[None], group, uniforms[:, 0], tol)
     outcomes[:, 0] = idx
     if n == 1:
         return outcomes
     # One group, and one frame, per first outcome drawn.
     group, _, drawn = _regroup(group, idx, np.ones(1, dtype=bool), len(first))
-    frames, states, roots, branches = _frames(root, first, drawn, density, tol)
+    frames, states, roots, branches = _frames(first, drawn, density, tol)
     home = np.arange(len(drawn))             # group -> its first outcome's frame
     for k in range(1, n):
         projs = _in_frames(frames, stacks[k])
@@ -346,10 +355,8 @@ def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
         if k + 1 == n or not branches.any():
             continue
         group, parent, last = _regroup(group, idx, branches, len(stacks[k]))
-        grow = branches[parent]
-        branches = grow & (_ranks(stacks[k])[last] > 1)
-        home, roots = home[parent], roots[parent]
-        roots[grow] = _next_roots(roots[grow], projs[home[grow], last[grow]], tol)
+        roots, home, branches = _extend(roots, home, branches, parent, last,
+                                        projs, stacks[k], tol)
     return outcomes
 
 
@@ -361,34 +368,28 @@ def _leftfold_law(stacks: list, density: np.ndarray, tol: Tolerances) -> np.ndar
     Each prefix of length 1 .. n-1 carries its root S at unit trace and its
     effect's trace t, a product of the shares Tr[S P S] of its outcomes; a
     tuple's probability is t Tr[S rho S P] of its last outcome, so no mass
-    is divided by.  Prefixes sit in C order as (first outcome, rest), and
-    block f shares frame f.  Once no root branches, the roots are no longer
-    repeated per prefix: each serves the block of its descendants."""
+    is divided by.  Prefixes sit in C order in groups, as in the sampler;
+    group g has the root roots[g] in frame home[g].  While some root
+    branches, every prefix is its own group and every outcome extends it;
+    after that, each group serves the block of its m descendants."""
     first = stacks[0]
     if len(stacks) == 1:
         return np.einsum("ab,jba->j", density, first).real
-    heads = np.arange(len(first))
-    frames, states, roots, branches = _frames(
-        np.eye(len(density), dtype=np.complex128), first, heads, density, tol)
-    # Roots (h, g, w, w) and prefix masses (h, g, m): the m prefixes of
-    # block g of frame h share root g.
-    roots, branches = roots[:, None], branches[:, None]
-    mass = np.einsum("jaa->j", first).real[:, None, None]     # Tr P
+    home = np.arange(len(first))
+    frames, states, roots, branches = _frames(first, home, density, tol)
+    mass = np.einsum("jaa->j", first).real[:, None]     # (groups, m): Tr P
     for stack in stacks[1:-1]:
         projs = _in_frames(frames, stack)
-        share = np.einsum("fgab,fjba->fgj", roots @ roots, projs).real
-        mass = mass[..., None] * share[:, :, None]
+        share = np.einsum("gab,gjba->gj", roots @ roots, projs[home]).real
+        mass = mass[..., None] * share[:, None]
         if branches.any():
-            n = len(stack)
-            grow = np.repeat(branches, n, axis=1)
-            roots = np.repeat(roots, n, axis=1)
-            f, c = np.nonzero(grow)
-            roots[f, c] = _next_roots(roots[f, c], projs[f, c % n], tol)
-            branches = grow & np.tile(_ranks(stack) > 1, grow.shape[1] // n)
-        mass = mass.reshape(*roots.shape[:2], -1)
-    conditional = roots @ states[:, None] @ roots
-    probs = np.einsum("fgab,fjba->fgj", conditional, _in_frames(frames, stacks[-1])).real
-    return (mass[..., None] * probs[:, :, None]).ravel()
+            parent, last = np.divmod(np.arange(share.size), len(stack))
+            roots, home, branches = _extend(roots, home, branches, parent, last,
+                                            projs, stack, tol)
+        mass = mass.reshape(len(roots), -1)
+    conditional = roots @ states[home] @ roots
+    probs = np.einsum("gab,gjba->gj", conditional, _in_frames(frames, stacks[-1])[home]).real
+    return (mass[..., None] * probs[:, None]).ravel()
 
 
 def _table_shape(spec: ChainSpec) -> tuple:
@@ -511,8 +512,8 @@ def compare_conventions(specs: list, rho0: AlgebraicState, runs: int,
             raise ValueError("conventions must share the observable sequence")
     exact = [exact_chain_distribution(s, rho0, tol) for s in specs]
     empirical = [
-        empirical_distribution(sample_chain_tree(s, rho0, runs, tol), s)
-        for s in specs
+        empirical_distribution(sample_distribution(law, s.seed, runs), s)
+        for law, s in zip(exact, specs)
     ]
     names = [str(s.convention) for s in specs]
     exact_tv = {}

@@ -4,6 +4,10 @@ Subcommands: decompose, joint, equivalence, instruments, chsh, feasible,
 chain, brackets.  Exit codes: 0 success, 1 internal error, 2 input
 validation, 3 infeasibility verdict.  Numbers print at 12 significant digits
 in both table and JSON output.
+
+`joint` and `equivalence` print `chain.exact_chain_distribution` of their
+observables under `--tree` (for `left` the chain's prefix recursion), whose
+structurally zero tuples can print rounding residue (about 1e-18 or less).
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ import sys
 import numpy as np
 
 from . import chain as chain_mod
-from .collapse_product import (
-    FOLD_TREES,
-    catalan,
-    collapse_effect_tree,
-    joint_distribution,
-)
+from .collapse_product import FOLD_TREES, catalan
 from .config import DEFAULT, Tolerances
 from .equivalence import build_commutative_model, verify_equivalence
 from .incompatibility import admits_global_joint, chsh_value
@@ -89,20 +88,12 @@ def _tolerances(args) -> Tolerances:
 _TREE_CHOICES = tuple(name.removesuffix("_fold") for name in FOLD_TREES)
 
 
-def _tree_for(name: str, n: int):
-    builder = FOLD_TREES.get(f"{name}_fold")
-    if builder is None:
-        raise DocumentError(f"unknown tree convention {name!r}")
-    return builder(n)
-
-
 def _joint_from_args(args, tol):
     observables = [load_document(f, tol, expect="observable")
                    for f in args.observables]
     state = load_document(args.state, tol, expect="state")
-    tree = _tree_for(args.tree, len(observables))
-    table = collapse_effect_tree(observables, tree, tol)
-    return observables, state, joint_distribution(table, state, tol)
+    spec = chain_mod.ChainSpec(observables, len(observables), f"{args.tree}_fold")
+    return observables, chain_mod.exact_chain_distribution(spec, state, tol)
 
 
 def _labels(axes) -> list:
@@ -133,13 +124,13 @@ def cmd_decompose(args, tol) -> int:
 
 
 def cmd_joint(args, tol) -> int:
-    _, _, dist = _joint_from_args(args, tol)
+    _, dist = _joint_from_args(args, tol)
     _emit({"rows": _dist_rows(dist)}, args.format)
     return EXIT_OK
 
 
 def cmd_equivalence(args, tol) -> int:
-    observables, _, dist = _joint_from_args(args, tol)
+    observables, dist = _joint_from_args(args, tol)
     model = build_commutative_model(dist, names=[o.name for o in observables])
     if args.perturb:
         probs = dist.probabilities.copy()

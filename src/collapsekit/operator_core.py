@@ -218,7 +218,8 @@ def require_psd_spectra(vals: np.ndarray, tol: Tolerances = DEFAULT,
 
 def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
     """The unique PSD square root of a PSD matrix: `batched_psd_sqrt`, with
-    its trace-relative cut, after `require_hermitian`."""
+    its trace-relative cut, after `require_hermitian`, which refuses the
+    non-Hermitian input that `batched_psd_sqrt` would only symmetrise."""
     return batched_psd_sqrt(require_hermitian(q, tol), tol)
 
 

@@ -149,6 +149,35 @@ class TestStatistics:
         for v in cmp.exact_vs_empirical_tv.values():
             assert v < 0.02
 
+    def test_compare_conventions_builds_each_law_once(self, monkeypatch):
+        specs = [ChainSpec([Z, X, Z], 3, name, seed=5)
+                 for name in ("left_fold", "right_fold", "reverse_fold")]
+        exact = [exact_chain_distribution(s, KET0) for s in specs]
+        empirical = [empirical_distribution(sample_chain_tree(s, KET0, 3000), s)
+                     for s in specs]
+        calls = []
+        build = chain.exact_chain_distribution
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(chain, "exact_chain_distribution", counting)
+        cmp = compare_conventions(specs, KET0, runs=3000)
+        assert [c[0] for c in calls] == specs
+        for got, want in zip(cmp.exact + cmp.empirical, exact + empirical):
+            assert np.array_equal(got.probabilities, want.probabilities)
+        names = [str(s.convention) for s in specs]
+        assert cmp.conventions == names
+        assert cmp.exact_tv == {(a, b): total_variation(exact[i], exact[j])
+                                for i, a in enumerate(names)
+                                for j, b in enumerate(names) if i < j}
+        assert cmp.empirical_tv == {
+            (a, b): total_variation(empirical[i], empirical[j])
+            for i, a in enumerate(names) for j, b in enumerate(names) if i < j}
+        assert cmp.exact_vs_empirical_tv == {
+            a: total_variation(exact[i], empirical[i]) for i, a in enumerate(names)}
+
     def test_commuting_reverse_fold_identical(self):
         a = observable("A", np.diag([1.0, 2.0]))
         b = observable("B", np.diag([3.0, 5.0]))

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from collapsekit import DEFAULT, AlgebraicState, ChainSpec, sample_chain_leftfold
-from collapsekit.chain import _leftfold_draws
+from collapsekit.chain import _draw, _next_roots
 from collapsekit.measurement import observable
 
 from conftest import (
@@ -59,10 +59,23 @@ def test_grouped_sampler_matches_per_run_reference(case):
 
 @PROPERTY
 @given(chains(), st.floats(1e-50, 1e50))
-def test_root_scale_leaves_outcomes_unchanged(case, scale):
+def test_root_scale_leaves_draws_and_roots_unchanged(case, scale):
+    # Along the reference path, one root per run: a draw and a root update
+    # from c S equal those from S.
     spec, rho = case
-    stacks, uniforms, (_, margin) = reference(spec, rho)
-    eye = np.eye(rho.dim, dtype=np.complex128)
-    unscaled = _leftfold_draws(stacks, rho.density, uniforms, eye, DEFAULT)
-    scaled = _leftfold_draws(stacks, rho.density, uniforms, scale * eye, DEFAULT)
+    stacks, uniforms, (path, margin) = reference(spec, rho)
+    shape = (RUNS, rho.dim, rho.dim)
+    roots = np.broadcast_to(np.eye(rho.dim, dtype=np.complex128), shape)
+    states = np.broadcast_to(rho.density, shape)
+    group = np.arange(RUNS)
+    unscaled, scaled = np.empty_like(path), np.empty_like(path)
+    for k, stack in enumerate(stacks):
+        projs = np.broadcast_to(stack, (RUNS, *stack.shape))
+        unscaled[:, k] = _draw(roots, states, projs, group, uniforms[:, k], DEFAULT)
+        scaled[:, k] = _draw(scale * roots, states, projs, group, uniforms[:, k], DEFAULT)
+        taken = stack[path[:, k]]
+        grown = _next_roots(roots, taken, DEFAULT)
+        np.testing.assert_allclose(_next_roots(scale * roots, taken, DEFAULT), grown,
+                                   rtol=0, atol=1e-12)
+        roots = grown
     assert_same_draws(scaled, unscaled, margin)

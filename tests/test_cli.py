@@ -14,7 +14,7 @@ from collapsekit.collapse_product import (
 from collapsekit.io import DocumentError, dump_document, load_document
 from collapsekit.measurement import AlgebraicState, observable
 
-from conftest import PAULI_Z
+from conftest import PAULI_Z, degenerate_observable, random_unitary
 
 
 def write(path, doc):
@@ -151,6 +151,37 @@ class TestTreeConventions:
                                   load_document(docs["ket0"]))
         got = [float(r["probability"]) for r in rows]
         assert got == pytest.approx(dist.probabilities.ravel().tolist(), abs=1e-11)
+
+
+class TestOneLeftFoldLaw:
+    def test_joint_equivalence_and_chain_print_one_law(self, docs, capsys):
+        # A, A, B with A of ranks (2, 1): the tuples whose two A outcomes
+        # differ are structurally zero.  `joint --tree left`, the state of
+        # `equivalence` and the exact column of `chain` print the same
+        # strings for every tuple, those included.
+        rng = np.random.default_rng(0)
+        a = degenerate_observable(rng, 3, "A", [0, 0, 1])
+        b = degenerate_observable(rng, 3, "B", [0, 1, 2])
+        sequence = [a, a, b]
+        paths = [write(docs["tmp"] / f"o{k}.json", json.loads(dump_document(o)))
+                 for k, o in enumerate(sequence)]
+        state = write(docs["tmp"] / "rho3.json", json.loads(dump_document(
+            AlgebraicState.pure(random_unitary(rng, 3)[:, 0]))))
+        spec = write(docs["tmp"] / "chain3.json", {
+            "kind": "chain-spec", "length": 3, "convention": "left_fold",
+            "observables": [json.loads(dump_document(o)) for o in sequence]})
+
+        assert main(["--format=json", "joint", *paths, "--state", state,
+                     "--tree", "left"]) == 0
+        joint = [r["probability"] for r in json.loads(capsys.readouterr().out)["rows"]]
+        assert main(["--format=json", "equivalence", *paths, "--state", state]) == 0
+        diagonal = json.loads(capsys.readouterr().out)["state_diagonal"].split(",")
+        assert main(["--format=json", "chain", spec, "--state", state,
+                     "--mechanism", "table"]) == 0
+        exact = [r["exact"] for r in json.loads(capsys.readouterr().out)["rows"]]
+        assert len(joint) == 2 * 2 * 3
+        assert all(float(p) <= 1e-15 for p in joint[3:9])
+        assert joint == diagonal == exact
 
 
 class TestEquivalence:

@@ -1,8 +1,10 @@
 """Layout rules of the package source: no module imports a private name from
 another module, so every name shared between modules is public and listed in
-its module's `__all__`; and no module but `operator_core` reads the PSD
-slack `.psd`, so the rule "PSD within tol.psd" and the root's cut are written
-in one place."""
+its module's `__all__`; no module but `operator_core` reads the PSD slack
+`.psd`, so the rule "PSD within tol.psd" and the root's cut are written in
+one place; and no module but `collapse_product`, `chain` and the package's
+re-export imports the effect-table builder or its trace, so `chain` alone
+decides which code computes a named fold's law."""
 
 import ast
 from pathlib import Path
@@ -75,3 +77,46 @@ def test_detects_psd_reads():
         "    pass\n"
     )
     assert psd_reads(source) == ["<source>:1: .psd", "<source>:4: .psd"]
+
+
+TABLE_NAMES = ("collapse_effect_tree", "joint_distribution")
+TABLE_USERS = ("collapse_product.py", "chain.py", "__init__.py")
+
+
+def table_imports(source: str, filename: str = "<source>") -> list:
+    """Lines that import `collapse_effect_tree` or `joint_distribution`
+    from the package by name, or read either as a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level > 0 or (node.module or "").split(".")[0] == "collapsekit"
+            found += [f"{filename}:{node.lineno}: {alias.name}"
+                      for alias in node.names if package and alias.name in TABLE_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in TABLE_NAMES:
+            found.append(f"{filename}:{node.lineno}: {node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in TABLE_USERS],
+                         ids=lambda p: p.name)
+def test_only_chain_takes_the_table_law(path):
+    assert table_imports(path.read_text(), path.name) == []
+
+
+def test_detects_table_imports():
+    source = (
+        "from .collapse_product import (\n"
+        "    FOLD_TREES,\n"
+        "    collapse_effect_tree,\n"
+        ")\n"
+        "from collapsekit.collapse_product import joint_distribution as jd\n"
+        "from . import collapse_product\n"
+        "table = collapse_product.collapse_effect_tree(obs, tree)\n"
+        "from numpy import joint_distribution\n"
+        "from .chain import exact_chain_distribution\n"
+    )
+    assert table_imports(source) == [
+        "<source>:1: collapse_effect_tree",
+        "<source>:5: joint_distribution",
+        "<source>:7: collapse_effect_tree",
+    ]
