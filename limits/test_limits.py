@@ -3,9 +3,11 @@
 Builds the largest left-fold and right-fold effect tables that
 `MAX_TABLE_BYTES` admits, once each, and checks that every entry is PSD and
 the entries sum to the identity, that the probabilities sum to 1, and that
-the left fold's exact law and its step sampler agree with its table.  Each table takes several
-seconds and a few hundred MB, so this module sits outside the Tier-1
-`testpaths`:
+the left fold's exact law and its step sampler agree with its table.  It
+also samples a million-step chain at the most runs the step sampler's
+arrays admit and checks its outcome pairs against their closed form.  Each
+table takes several seconds and a few hundred MB, so this module sits
+outside the Tier-1 `testpaths`:
 
     PYTHONPATH=src python -m pytest -q limits
 """
@@ -99,3 +101,38 @@ def test_step_sampler_agrees_with_the_table(largest):
     observed = np.bincount(group[cells], minlength=BINS)
     statistic = ((observed - expected) ** 2 / expected).sum()
     assert stats.chi2.sf(statistic, BINS - 1) > 1e-3
+
+
+# The step sampler's uniforms and outcomes take 16 B per run and step: a
+# million steps admit 8 runs at 128 MiB.
+MILLION = 10**6
+MOST_RUNS = MAX_TABLE_BYTES // (16 * MILLION)
+
+
+def test_million_step_chain_at_the_most_runs():
+    """The first observable is non-degenerate, so given i_1 every later
+    outcome i_k is drawn from <v_i1|P_ik|v_i1> alone (the commuting, QND
+    picture).  The (i_1, i_k) counts of each cycle position, pooled over its
+    steps, are tested row by row against those conditionals."""
+    spec = chain(MILLION, "left_fold")
+    with pytest.raises(TableTooLargeError):
+        sample_chain_leftfold(spec, STATE, MOST_RUNS + 1)
+    outcomes = sample_chain_leftfold(spec, STATE, MOST_RUNS)
+    assert outcomes.shape == (MOST_RUNS, MILLION)
+    first, c = spec.observables[0], len(spec.observables)
+    # The first observable measured again repeats its outcome.
+    assert (outcomes[:, ::c] == outcomes[:, :1]).all()
+    vectors = [np.linalg.eigh(p)[1][:, -1] for p in first.projectors]
+    for j in range(1, c):
+        later = spec.observables[j]
+        conditional = np.array([[(v.conj() @ q @ v).real for q in later.projectors]
+                                for v in vectors])
+        steps = outcomes[:, j::c]
+        observed = np.zeros(conditional.shape)
+        for i, row in zip(outcomes[:, 0], steps):
+            observed[i] += np.bincount(row, minlength=later.n_outcomes)
+        rows = observed.sum(axis=1) > 0
+        expected = observed.sum(axis=1, keepdims=True) * conditional
+        statistic = ((observed - expected)[rows] ** 2 / expected[rows]).sum()
+        dof = int(rows.sum()) * (later.n_outcomes - 1)
+        assert stats.chi2.sf(statistic, dof) > 1e-3

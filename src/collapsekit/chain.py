@@ -11,9 +11,8 @@ bracketing.  For the left fold that exact law is the step sampler's own
 recursion run over every outcome prefix instead of the drawn ones, with the
 same frames and root updates, so the two mechanisms agree by construction;
 other bracketings trace the effect table of `collapse_effect_tree`.
-The CLI's `joint` and `equivalence` take their law from here too.  A
-structurally zero tuple may carry rounding residue (about 1e-18 or less)
-whose digits depend on the arithmetic path.  The effect table holds one d x d entry per outcome tuple, and its size, not a
+The CLI's `joint` and `equivalence` take their law from here too.  The
+effect table holds one d x d entry per outcome tuple, and its size, not a
 fixed step count, bounds the chain under every bracketing:
 `collapse_product.require_table_size` refuses a chain whose table would be
 past `MAX_TABLE_BYTES` or 32 axes with `TableTooLargeError` before anything
@@ -40,12 +39,18 @@ Otherwise the root depends on the run only through its outcome prefix, so
 the step sampler keeps one root per distinct prefix: the cost of a step
 scales with the number of distinct prefixes (at most the product of the
 outcome counts so far), not with the number of runs.  A prefix whose root
-has rank one stops branching.  Every new root is taken of S P S rescaled to
-unit trace.  The probabilities are scale-free and the root is positively
-homogeneous, so this changes no outcome, but it keeps the prefix's mass
-from underflowing at any chain length.  A prefix whose mass vanishes anyway
-raises `ZeroProbabilityOutcomeError` in the sampler; in the exact law its
-tuples are zeros.
+has rank one stops branching.  Once no prefix branches, every root, state
+and group is fixed for the rest of the chain, and the step sampler draws
+all remaining steps in one pass: one CDF table per position in the cycle of
+observables, computed as a single step computes it, so a million-step chain
+costs a few CDF tables and one comparison per run and step.  Every new root
+is taken of S P S rescaled to unit trace.  The probabilities are scale-free
+and the root is positively homogeneous, so this changes no outcome, but it
+keeps the prefix's mass from underflowing at any chain length.  An outcome
+that keeps at most tol.prob of Tr[S S] cannot be conditioned on: the
+sampler raises `ZeroProbabilityOutcomeError` when a prefix's whole mass is
+cut, and from the second step on the exact law gives such an outcome's
+tuples exact zeros, never rounding residue.
 """
 
 from __future__ import annotations
@@ -92,10 +97,11 @@ __all__ = [
 
 CONVENTIONS = tuple(FOLD_TREES)
 
-# Runs per block of the table sampler, and cells (run ids and outcomes) per
-# block of the record writer.  Each block's temporaries take a few hundred
-# kB, so a call's working memory beyond its uniforms and outcomes does not
-# grow with the run count or the chain length.
+# Runs per block of the table sampler, and cells per block of the step
+# sampler's draws and of the record writer (run ids and outcomes).  Each
+# block's temporaries take a few hundred kB, so a call's working memory
+# beyond its uniforms and outcomes does not grow with the run count or the
+# chain length.
 _BLOCK = 2**15
 
 
@@ -209,11 +215,14 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     distinct (prefix, outcome) pair, however many runs there are.  Once a
     prefix includes an outcome of rank one, its root is fixed at |u><u| and
     its runs draw each later outcome from <u|P|u>: for a non-degenerate
-    first observable no eigensolve follows the first step.  Each root is taken of
-    S P S rescaled to unit trace, which leaves the outcomes unchanged and
-    keeps the prefix's mass from underflowing.  A prefix whose conditional
-    mass vanishes (below tol.prob of the root's own scale) raises
-    `ZeroProbabilityOutcomeError` instead of forcing an outcome.
+    first observable no eigensolve follows the first step.  Once no root
+    branches, every later step is drawn in one pass from one CDF table per
+    position in the cycle of observables, with the arithmetic of a single
+    step.  Each root is taken of S P S rescaled to unit trace, which leaves
+    the outcomes unchanged and keeps the prefix's mass from underflowing.
+    A prefix whose conditional mass vanishes (below tol.prob of the root's
+    own scale) raises `ZeroProbabilityOutcomeError` instead of forcing an
+    outcome.
 
     Returns outcome indices of shape (runs, n).  The uniforms and the
     outcomes take 16 B per run and step, under `require_table_size`."""
@@ -221,22 +230,13 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
         raise ValueError("step sampling is defined for the left_fold convention")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    sequence = spec.sequence()
-    d = rho0.dim
-    if any(obs.dim != d for obs in sequence):
+    cycle = spec.observables[:spec.length]
+    if any(obs.dim != rho0.dim for obs in cycle):
         raise ValueError("observable/state dimension mismatch")
     require_table_size((runs, spec.length), 16)
     uniforms = _uniform_block(spec.seed, runs, spec.length)
-    return _leftfold_draws([obs.projectors for obs in sequence], rho0.density,
+    return _leftfold_draws([obs.projectors for obs in cycle], rho0.density,
                            uniforms, tol)
-
-
-def _require_mass(mass: np.ndarray, floor) -> None:
-    if not (mass > floor).all():
-        raise ZeroProbabilityOutcomeError(
-            f"an outcome prefix carries mass {mass.min():.3e}; "
-            "it cannot be conditioned on"
-        )
 
 
 def _ranks(projs: np.ndarray) -> np.ndarray:
@@ -244,24 +244,50 @@ def _ranks(projs: np.ndarray) -> np.ndarray:
     return np.rint(np.einsum("jaa->j", projs).real)
 
 
-def _draw(roots, states, projs, group, u, tol: Tolerances) -> np.ndarray:
-    """One step of every run: the outcome its uniform selects by inverse CDF
-    from its group's conditional probabilities.
+def _cut(values: np.ndarray, roots: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Which entries of `values` (g, ...) keep more than tol.prob of Tr[S S]
+    for the root S = roots[g] of their group: what can be conditioned on.
+    Unchanged when S and the values scale together."""
+    scale = np.einsum("gab,gab->g", roots, roots.conj()).real
+    return (values.T > tol.prob * scale).T
+
+
+def _cdf(roots, states, projs, tol: Tolerances) -> np.ndarray:
+    """The interior CDF boundaries (g, m - 1) of each group's conditional
+    probabilities over its m outcomes.
 
     Group g has the accumulated root roots[g], the state states[g] and the
-    projector stack projs[g], all in one frame; group[r] is run r's group."""
+    projector stack projs[g], all in one frame.  A group whose mass
+    Tr[S rho S] is cut by `_cut` raises `ZeroProbabilityOutcomeError`."""
     conditional = roots @ states @ roots
     probs = np.clip(np.einsum("gab,gjba->gj", conditional, projs).real, 0.0, None)
     mass = probs.sum(axis=1)
-    # Tr[S rho S] against Tr[S S]: unchanged when S is rescaled.
-    scale = np.einsum("gab,gab->g", roots, roots.conj()).real
-    _require_mass(mass, tol.prob * scale)
-    cum = np.cumsum(probs / mass[:, None], axis=1)
-    # The outcome is the number of interior CDF boundaries at or below u,
-    # gathered boundary by boundary so each row of the comparison is one
-    # contiguous pass over the runs.
-    inner = np.ascontiguousarray(cum[:, :-1].T)
-    return (np.take(inner, group, axis=1) <= u).sum(axis=0)
+    if not _cut(mass, roots, tol).all():
+        raise ZeroProbabilityOutcomeError(
+            f"an outcome prefix carries mass {mass.min():.3e}; "
+            "it cannot be conditioned on"
+        )
+    return np.cumsum(probs / mass[:, None], axis=1)[:, :-1]
+
+
+def _count(inner, group, uniforms, out) -> None:
+    """Inverse-CDF draws: out[r, k] is the number of interior boundaries
+    inner[group[r]] at or below uniforms[r, k], for aligned (runs, steps)
+    views `uniforms` and `out`.
+
+    The runs gather their boundaries, and compare them with their uniforms,
+    in blocks of at most _BLOCK cells."""
+    runs, cols = uniforms.shape
+    inner = np.ascontiguousarray(inner.T)
+    count = np.min_scalar_type(len(inner))      # holds m - 1
+    width = min(cols, _BLOCK)
+    rows = max(1, _BLOCK // width)
+    for lo in range(0, runs, rows):
+        bounds = np.take(inner, group[lo:lo + rows], axis=1)[:, None]
+        for at in range(0, cols, width):
+            # Steps by runs, so each comparison is one pass over the runs.
+            u = np.ascontiguousarray(uniforms[lo:lo + rows, at:at + width].T)
+            out[lo:lo + rows, at:at + width].T[...] = (bounds <= u).sum(axis=0, dtype=count)
 
 
 def _regroup(group, idx, branches, n_outcomes):
@@ -313,8 +339,7 @@ def _next_roots(roots: np.ndarray, projs: np.ndarray, tol: Tolerances) -> np.nda
     the root are unchanged when S is rescaled."""
     grown = roots @ projs @ roots
     trace = np.einsum("gaa->g", grown).real
-    scale = np.einsum("gab,gab->g", roots, roots.conj()).real
-    live = (trace > tol.prob * scale)[:, None, None]
+    live = _cut(trace, roots, tol)[:, None, None]
     unit = np.divide(grown, trace[:, None, None], out=np.zeros_like(grown), where=live)
     return batched_psd_sqrt(unit, tol)
 
@@ -329,34 +354,45 @@ def _extend(roots, home, branches, parent, last, projs, stack, tol: Tolerances):
     return roots, home, grow & (_ranks(stack)[last] > 1)
 
 
-def _leftfold_draws(stacks: list, density: np.ndarray, uniforms: np.ndarray,
+def _leftfold_draws(cycle: list, density: np.ndarray, uniforms: np.ndarray,
                     tol: Tolerances) -> np.ndarray:
     """The step sampler's draws.
 
-    stacks[k] is the (n_k, d, d) projector stack of step k; row r of
-    `uniforms` drives run r by inverse CDF over the outcomes in order."""
+    Step k measures the (m, d, d) projector stack cycle[k % len(cycle)]; row
+    r of `uniforms` drives run r by inverse CDF over the outcomes in order.
+    Once no root branches, the roots, states, frames and groups are fixed,
+    so all later steps at one position of the cycle draw from one CDF table
+    in one pass."""
     runs, n = uniforms.shape
+    c = len(cycle)
     outcomes = np.empty((runs, n), dtype=np.int64)
-    first = stacks[0]
-    group = np.zeros(1, dtype=np.int64)     # one group, broadcast over the runs
+    first = cycle[0]
+    group = np.broadcast_to(np.int64(0), (runs,))     # one group for every run
     eye = np.eye(len(density), dtype=np.complex128)
-    idx = _draw(eye[None], density[None], first[None], group, uniforms[:, 0], tol)
-    outcomes[:, 0] = idx
+    _count(_cdf(eye[None], density[None], first[None], tol), group,
+           uniforms[:, :1], outcomes[:, :1])
     if n == 1:
         return outcomes
     # One group, and one frame, per first outcome drawn.
-    group, _, drawn = _regroup(group, idx, np.ones(1, dtype=bool), len(first))
+    group, _, drawn = _regroup(group, outcomes[:, 0], np.ones(1, dtype=bool), len(first))
     frames, states, roots, branches = _frames(first, drawn, density, tol)
     home = np.arange(len(drawn))             # group -> its first outcome's frame
-    for k in range(1, n):
-        projs = _in_frames(frames, stacks[k])
-        idx = _draw(roots, states[home], projs[home], group, uniforms[:, k], tol)
-        outcomes[:, k] = idx
-        if k + 1 == n or not branches.any():
-            continue
-        group, parent, last = _regroup(group, idx, branches, len(stacks[k]))
-        roots, home, branches = _extend(roots, home, branches, parent, last,
-                                        projs, stacks[k], tol)
+    k = 1
+    while k < n and branches.any():
+        stack = cycle[k % c]
+        projs = _in_frames(frames, stack)
+        _count(_cdf(roots, states[home], projs[home], tol), group,
+               uniforms[:, k:k + 1], outcomes[:, k:k + 1])
+        if k + 1 < n:
+            group, parent, last = _regroup(group, outcomes[:, k], branches, len(stack))
+            roots, home, branches = _extend(roots, home, branches, parent, last,
+                                            projs, stack, tol)
+        k += 1
+    # No root branches from step k on.
+    for s in range(k, min(k + c, n)):
+        stack = cycle[s % c]
+        _count(_cdf(roots, states[home], _in_frames(frames, stack)[home], tol), group,
+               uniforms[:, s::c], outcomes[:, s::c])
     return outcomes
 
 
@@ -368,7 +404,9 @@ def _leftfold_law(stacks: list, density: np.ndarray, tol: Tolerances) -> np.ndar
     Each prefix of length 1 .. n-1 carries its root S at unit trace and its
     effect's trace t, a product of the shares Tr[S P S] of its outcomes; a
     tuple's probability is t Tr[S rho S P] of its last outcome, so no mass
-    is divided by.  Prefixes sit in C order in groups, as in the sampler;
+    is divided by.  A share or last probability that `_cut` drops, as the
+    root update drops its outcome, is an exact zero rather than rounding
+    residue.  Prefixes sit in C order in groups, as in the sampler;
     group g has the root roots[g] in frame home[g].  While some root
     branches, every prefix is its own group and every outcome extends it;
     after that, each group serves the block of its m descendants."""
@@ -381,6 +419,7 @@ def _leftfold_law(stacks: list, density: np.ndarray, tol: Tolerances) -> np.ndar
     for stack in stacks[1:-1]:
         projs = _in_frames(frames, stack)
         share = np.einsum("gab,gjba->gj", roots @ roots, projs[home]).real
+        share = np.where(_cut(share, roots, tol), share, 0.0)
         mass = mass[..., None] * share[:, None]
         if branches.any():
             parent, last = np.divmod(np.arange(share.size), len(stack))
@@ -389,6 +428,7 @@ def _leftfold_law(stacks: list, density: np.ndarray, tol: Tolerances) -> np.ndar
         mass = mass.reshape(len(roots), -1)
     conditional = roots @ states[home] @ roots
     probs = np.einsum("gab,gjba->gj", conditional, _in_frames(frames, stacks[-1])[home]).real
+    probs = np.where(_cut(probs, roots, tol), probs, 0.0)
     return (mass[..., None] * probs[:, None]).ravel()
 
 

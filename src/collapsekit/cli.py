@@ -6,8 +6,7 @@ validation, 3 infeasibility verdict.  Numbers print at 12 significant digits
 in both table and JSON output.
 
 `joint` and `equivalence` print `chain.exact_chain_distribution` of their
-observables under `--tree` (for `left` the chain's prefix recursion), whose
-structurally zero tuples can print rounding residue (about 1e-18 or less).
+observables under `--tree` (for `left` the chain's prefix recursion).
 """
 
 from __future__ import annotations

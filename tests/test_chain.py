@@ -455,6 +455,102 @@ class TestFirstOutcomeRange:
             assert stats.chi2.sf(chi2, len(expected) - 1) > 1e-3
 
 
+def pooled_pair_p_values(outcomes, spec, rho):
+    """Chi-square p-values of the (i_1, i_k) counts pooled over the steps k
+    >= 1 at each cycle position whose observable differs from the first.
+
+    Given i_1 the later outcomes of a non-degenerate first observable are
+    independent, each with <v_i1|P|v_i1>: row i_1 of `pair_table` over its
+    sum p(i_1).  So each row is tested against the draws it holds, and a few
+    runs suffice."""
+    first, c = spec.observables[0], len(spec.observables)
+    p_values = []
+    for j in range(1, c):
+        later = spec.observables[j]
+        table = pair_table(first, later, rho)
+        conditional = table / table.sum(axis=1, keepdims=True)
+        steps = outcomes[:, j::c]
+        pairs = np.repeat(outcomes[:, :1], steps.shape[1], axis=1) * later.n_outcomes + steps
+        observed = np.bincount(pairs.ravel(), minlength=table.size).reshape(table.shape)
+        rows = observed.sum(axis=1) > 0
+        expected = observed.sum(axis=1, keepdims=True) * conditional
+        chi2 = float(((observed - expected)[rows] ** 2 / expected[rows]).sum())
+        p_values.append(stats.chi2.sf(chi2, int(rows.sum()) * (table.shape[1] - 1)))
+    return p_values
+
+
+def count_cdf_tables(monkeypatch):
+    """Count the sampler's CDF tables: one per step while some root
+    branches, then one per cycle position."""
+    calls = []
+    cdf = chain._cdf
+
+    def counting(*args):
+        calls.append(args)
+        return cdf(*args)
+
+    monkeypatch.setattr(chain, "_cdf", counting)
+    return calls
+
+
+class TestFrozenRoots:
+    # Once no root branches, every remaining step is drawn from one CDF
+    # table per cycle position, with the arithmetic of a single step.
+
+    def test_frozen_at_step_one_cycle_of_three(self, monkeypatch):
+        rng = np.random.default_rng(3301)
+        observables = [degenerate_observable(rng, 4, f"N{i}", np.arange(4.0))
+                       for i in range(3)]
+        calls = count_cdf_tables(monkeypatch)
+        check_against_reference(ChainSpec(observables, 23, seed=3301),
+                                random_density(rng, 4), runs=2000)
+        assert len(calls) == 1 + 3
+
+    def test_frozen_mid_chain_off_the_cycle(self, monkeypatch):
+        # Degenerate first outcomes branch at step 1; the non-degenerate
+        # observable at step 2 gives every prefix a rank-one outcome, so
+        # the roots freeze from step 3 of a cycle of 4.
+        rng = np.random.default_rng(3302)
+        observables = [degenerate_observable(rng, 6, "F", [0, 0, 1, 1, 1, 2]),
+                       degenerate_observable(rng, 6, "G", [0, 0, 0, 1, 1, 1]),
+                       degenerate_observable(rng, 6, "N", np.arange(6.0)),
+                       degenerate_observable(rng, 6, "H", [0, 1, 1, 2, 2, 2])]
+        calls = count_cdf_tables(monkeypatch)
+        check_against_reference(ChainSpec(observables, 22, seed=3302),
+                                random_density(rng, 6), runs=1000)
+        assert len(calls) == 3 + 4
+
+    def test_never_frozen(self, monkeypatch):
+        rng = np.random.default_rng(3303)
+        observables = [degenerate_observable(rng, 4, f"D{i}", [0, 0, 1, 1])
+                       for i in range(3)]
+        calls = count_cdf_tables(monkeypatch)
+        check_against_reference(ChainSpec(observables, 12, seed=3303),
+                                random_density(rng, 4), runs=2000)
+        assert len(calls) == 12
+
+    def test_fewer_steps_left_than_the_cycle(self, monkeypatch):
+        rng = np.random.default_rng(3304)
+        observables = [degenerate_observable(rng, 3, f"N{i}", np.arange(3.0))
+                       for i in range(5)]
+        calls = count_cdf_tables(monkeypatch)
+        check_against_reference(ChainSpec(observables, 3, seed=3304),
+                                random_density(rng, 3), runs=2000)
+        assert len(calls) == 3
+
+    def test_pair_frequencies_at_1e5_steps(self):
+        rng = np.random.default_rng(100_000)
+        first = degenerate_observable(rng, 3, "F", [0, 1, 2])
+        later = [degenerate_observable(rng, 3, "L0", [0, 1, 1]),
+                 degenerate_observable(rng, 3, "L1", [0, 1, 2])]
+        spec = ChainSpec([first] + later, 100_000, seed=100_000)
+        rho = random_density(rng, 3)
+        outcomes = sample_chain_leftfold(spec, rho, 4)
+        # The first observable measured again repeats its outcome.
+        assert (outcomes[:, ::3] == outcomes[:, :1]).all()
+        assert min(pooled_pair_p_values(outcomes, spec, rho)) > 1e-3
+
+
 def table_law(spec, rho):
     """The left fold's law traced from its effect table: the reference for
     the prefix recursion of `exact_chain_distribution`."""
@@ -533,7 +629,8 @@ class TestExactLeftFoldLaw:
     def test_repeated_degenerate_observable(self, rotated):
         # Rank-two outcomes measured again: every prefix that changes its
         # outcome has zero mass, so its root update meets S P S = 0, exactly
-        # in the eigenbasis and up to rounding in a rotated one.
+        # in the eigenbasis and up to rounding in a rotated one.  Its tuples
+        # are exact zeros either way.
         rng = np.random.default_rng(44)
         u = random_unitary(rng, 4) if rotated else np.eye(4)
         a = observable("A", (u * np.array([0.0, 0.0, 1.0, 1.0])) @ u.conj().T)
@@ -543,9 +640,27 @@ class TestExactLeftFoldLaw:
         dist = exact_chain_distribution(spec, rho)
         expected = table_law(spec, rho)
         assert np.abs(dist.probabilities - expected.probabilities).max() <= 1e-13
-        if not rotated:
-            assert (dist.probabilities[0, 1] == 0.0).all()
-            assert (dist.probabilities[1, 0] == 0.0).all()
+        assert (dist.probabilities[expected.probabilities == 0.0] == 0.0).all()
+        assert (dist.probabilities[0, 1] == 0.0).all()
+        assert (dist.probabilities[1, 0] == 0.0).all()
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_frozen_roots_give_exact_zeros(self, rotated):
+        # A non-degenerate observable measured again after another one: its
+        # roots no longer branch, and every tuple whose last outcome differs
+        # from the first has zero mass, up to rounding in a rotated basis.
+        rng = np.random.default_rng(45)
+        u = random_unitary(rng, 3) if rotated else np.eye(3)
+        n = observable("N", (u * np.arange(3.0)) @ u.conj().T)
+        b = degenerate_observable(rng, 3, "B", [0, 1, 1])
+        spec = ChainSpec([n, b, n, b, n], 5)
+        rho = random_density(rng, 3)
+        dist = exact_chain_distribution(spec, rho)
+        expected = table_law(spec, rho)
+        assert np.abs(dist.probabilities - expected.probabilities).max() <= 1e-13
+        assert (dist.probabilities[expected.probabilities == 0.0] == 0.0).all()
+        first, third, last = np.indices(dist.shape)[[0, 2, 4]]
+        assert (dist.probabilities[(first != third) | (first != last)] == 0.0).all()
 
     def test_other_bracketings_trace_the_table(self):
         rng = np.random.default_rng(7)

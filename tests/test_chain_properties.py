@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from collapsekit import DEFAULT, AlgebraicState, ChainSpec, sample_chain_leftfold
-from collapsekit.chain import _draw, _next_roots
+from collapsekit.chain import _cdf, _count, _next_roots
 from collapsekit.measurement import observable
 
 from conftest import (
@@ -60,8 +60,8 @@ def test_grouped_sampler_matches_per_run_reference(case):
 @PROPERTY
 @given(chains(), st.floats(1e-50, 1e50))
 def test_root_scale_leaves_draws_and_roots_unchanged(case, scale):
-    # Along the reference path, one root per run: a draw and a root update
-    # from c S equal those from S.
+    # Along the reference path, one root per run: a draw (the CDF kernel and
+    # its count) and a root update from c S equal those from S.
     spec, rho = case
     stacks, uniforms, (path, margin) = reference(spec, rho)
     shape = (RUNS, rho.dim, rho.dim)
@@ -71,8 +71,11 @@ def test_root_scale_leaves_draws_and_roots_unchanged(case, scale):
     unscaled, scaled = np.empty_like(path), np.empty_like(path)
     for k, stack in enumerate(stacks):
         projs = np.broadcast_to(stack, (RUNS, *stack.shape))
-        unscaled[:, k] = _draw(roots, states, projs, group, uniforms[:, k], DEFAULT)
-        scaled[:, k] = _draw(scale * roots, states, projs, group, uniforms[:, k], DEFAULT)
+        step = slice(k, k + 1)
+        _count(_cdf(roots, states, projs, DEFAULT), group, uniforms[:, step],
+               unscaled[:, step])
+        _count(_cdf(scale * roots, states, projs, DEFAULT), group, uniforms[:, step],
+               scaled[:, step])
         taken = stack[path[:, k]]
         grown = _next_roots(roots, taken, DEFAULT)
         np.testing.assert_allclose(_next_roots(scale * roots, taken, DEFAULT), grown,
