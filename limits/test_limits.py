@@ -5,12 +5,15 @@ Builds the largest left-fold and right-fold effect tables that
 the entries sum to the identity, that the probabilities sum to 1, and that
 the left fold's exact law and its step sampler agree with its table.  It
 also samples a million-step chain at the most runs the step sampler's
-arrays admit and checks its outcome pairs against their closed form.  Each
+arrays admit and checks its outcome pairs against their closed form, and
+draws from the largest admitted left-fold law with every tuple drawable.  Each
 table takes several seconds and a few hundred MB, so this module sits
 outside the Tier-1 `testpaths`:
 
     PYTHONPATH=src python -m pytest -q limits
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from collapsekit import (
     observable,
     sample_chain_leftfold,
 )
+from collapsekit.chain import sample_distribution
 from collapsekit.collapse_product import MAX_TABLE_BYTES, TableTooLargeError
 from collapsekit.config import DEFAULT
 
@@ -136,3 +140,37 @@ def test_million_step_chain_at_the_most_runs():
         statistic = ((observed - expected)[rows] ** 2 / expected[rows]).sum()
         dof = int(rows.sum()) * (later.n_outcomes - 1)
         assert stats.chi2.sf(statistic, dof) > 1e-3
+
+
+def every_tuple_drawable():
+    """The largest admitted left fold, of STEPS distinct spin observables
+    whose angles lie 1.2-1.9 rad from the first one's.  After the first,
+    non-degenerate outcome every later outcome has a conditional
+    probability of at least (1 - cos 1.2) / 2 > 0.3, so every one of the
+    2**STEPS tuples has a probability that moves the CDF."""
+    family = [observable(f"S{k}", spin(0.0 if k == 0 else 1.2 + 0.035 * k))
+              for k in range(STEPS)]
+    return exact_chain_distribution(ChainSpec(family, STEPS, "left_fold", seed=7), STATE)
+
+
+@pytest.mark.parametrize("runs", [1, RUNS])
+def test_table_sampler_on_the_largest_law(runs):
+    """Every tuple of the law is drawable; the draws are those of one flat
+    binary search, the call's tracemalloc peak stays within the size guard,
+    and the guard refuses one run past it before anything is drawn."""
+    dist = every_tuple_drawable()
+    cum = np.cumsum(dist.probabilities.ravel())
+    cum[-1] = 1.0
+    assert (np.diff(cum, prepend=0.0) > 0).all()
+    with pytest.raises(TableTooLargeError):
+        sample_distribution(dist, 11, MAX_TABLE_BYTES // 16 + 1)
+    tracemalloc.start()
+    try:
+        drawn = sample_distribution(dist, 11, runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MAX_TABLE_BYTES
+    u = np.random.Generator(np.random.Philox(key=np.uint64(11))).random((runs, 1))[:, 0]
+    expected = np.stack(np.unravel_index(np.searchsorted(cum, u, "right"), dist.shape), 1)
+    np.testing.assert_array_equal(drawn, expected)

@@ -12,8 +12,11 @@ recursion run over every outcome prefix instead of the drawn ones, with the
 same frames and root updates, so the two mechanisms agree by construction;
 other bracketings trace the effect table of `collapse_effect_tree`.
 The CLI's `joint` and `equivalence` take their law from here too.  The
-effect table holds one d x d entry per outcome tuple, and its size, not a
-fixed step count, bounds the chain under every bracketing:
+table sampler searches the flattened CDF by guide table (indexed search)
+over the entries that can be drawn and gathers each run's outcome tuple
+whole, with the draws of one binary search per run.  The effect table
+holds one d x d entry per outcome tuple, and its size, not a fixed step
+count, bounds the chain under every bracketing:
 `collapse_product.require_table_size` refuses a chain whose table would be
 past `MAX_TABLE_BYTES` or 32 axes with `TableTooLargeError` before anything
 is built.  The samplers' outcome arrays go through the same check.
@@ -478,51 +481,115 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
     `sample_chain_tree` is this applied to the chain's exact table.
 
     The tuple drawn is the entry at the flat index `np.searchsorted(cdf, u,
-    "right")`: the number of CDF values at or below u.  It is found axis by
-    axis, in blocks of _BLOCK runs, as in the step sampler: axis k's outcome
-    is the number of interior boundaries of the drawn prefix's block at or
-    below u, counted by bisection over the same floats.  The outcomes and the
-    uniforms take at most 16 B per run and axis, under `require_table_size`."""
+    "right")`: the number of CDF values at or below u.  With fewer runs than
+    entries, each run takes that binary search, a block of _BLOCK runs at a
+    time in the order of their uniforms.  Otherwise only the K entries whose
+    CDF value rises above the one before can be drawn, and their values are
+    searched by guide table (`_GuideTable`): per run one indexed lookup and
+    a bisection of fixed width, with the same float comparisons as the
+    binary search.  Each run's tuple is then gathered whole from a table of
+    the K drawable tuples, in the narrowest unsigned type that holds an
+    outcome index, so the table is never larger than the outcomes.  The
+    outcomes and the uniforms take at most 16 B per run and axis, under
+    `require_table_size`.
+
+    Raises ValueError when the table has a non-finite or negative entry or
+    does not sum to 1 within DEFAULT.num (`JointDistribution.check`)."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     shape = dist.shape
     require_table_size((runs, len(shape)), 16)
+    dist.check()
     cum = np.cumsum(dist.probabilities.ravel())
     cum[-1] = 1.0
     uniforms = _uniform_block(seed, runs, 1)[:, 0]
-    # In units of axis k's stride, ends[k][i] is the CDF at the end of block
-    # i, so the boundaries of a prefix's block at i are ends[k][i:i + n_k - 1].
-    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-    ends = [cum[s - 1::s] for s in strides]
     outcomes = np.empty((runs, len(shape)), dtype=np.int64)
-    for lo in range(0, runs, _BLOCK):
-        u = uniforms[lo:lo + _BLOCK]
-        hi = lo + len(u)
-        at = np.zeros(len(u), dtype=np.int64)    # the drawn prefix's block
-        for k, n_k in enumerate(shape):
-            at *= n_k
-            start = at.copy()
-            width = n_k - 1
-            while width > 1:
-                half = width // 2
-                at += half * (ends[k][at + half] <= u)
-                width -= half
-            if width:
-                at += ends[k][at] <= u
-            np.subtract(at, start, out=outcomes[lo:hi, k])
+    blocks = range(0, runs, _BLOCK)
+    narrow = np.min_scalar_type(max(shape) - 1)
+    if cum.size > runs:
+        # Fewer runs than entries: a guide table would cost more to build
+        # than it saves, so each run takes one binary search.  Searching a
+        # block's uniforms in sorted order keeps the probes in cache.
+        for lo in blocks:
+            u = uniforms[lo:lo + _BLOCK]
+            order = np.argsort(u)
+            flat = np.empty(len(u), dtype=np.intp)
+            flat[order] = np.searchsorted(cum, u[order], "right")
+            outcomes[lo:lo + _BLOCK] = _unravel(flat, shape, narrow)
+        return outcomes
+    rises = np.empty(cum.size, dtype=bool)
+    rises[0] = cum[0] > 0.0
+    np.greater(cum[1:], cum[:-1], out=rises[1:])
+    drawable = np.flatnonzero(rises)
+    # Each per-entry array is freed once used, to keep the peak memory low.
+    values = cum.take(drawable)
+    del cum
+    rows = np.ascontiguousarray(_unravel(drawable, shape, narrow))
+    del drawable
+    search = _GuideTable(values)
+    for lo in blocks:
+        outcomes[lo:lo + _BLOCK] = rows.take(search(uniforms[lo:lo + _BLOCK]), axis=0)
     return outcomes
+
+
+class _GuideTable:
+    """Indexed search (Chen & Asau 1974; Devroye 1986, ch. III) over K
+    strictly increasing values, the last of them at or above 1: called with
+    uniforms u in [0, 1), it returns how many values are at or below each
+    u, as `np.searchsorted(values, u, "right")` does.
+
+    Each value x falls into bucket floor(x K), and so does each u, into a
+    bucket of at most K since u < 1.  Each float operation is monotone, so
+    every value in a lower bucket than u's lies below u and every value in
+    a higher one above it: the count is guide[b], the number of values in
+    buckets below u's bucket b, plus the count within bucket b.  That count
+    is found by a bisection of fixed width, the largest bucket's count,
+    from guide[b] on; a probe past the last value reads the last value,
+    which lies above u."""
+
+    def __init__(self, values: np.ndarray):
+        k = len(values)
+        buckets = (values * k).astype(np.intp)
+        # Counting bucket(x) + 1 and summing the counts in place leaves
+        # guide[b] = the number of values in buckets below b.
+        buckets += 1
+        self.guide = np.bincount(buckets, minlength=k + 1)
+        self.width = int(self.guide.max())
+        np.cumsum(self.guide, out=self.guide)
+        self.k, self.values = k, values
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        at = self.guide.take((u * self.k).astype(np.intp))
+        width = self.width
+        while width > 1:
+            half = width // 2
+            at += half * (self.values.take(at + half, mode="clip") <= u)
+            width -= half
+        at += self.values.take(at, mode="clip") <= u
+        return at
+
+
+def _unravel(flat: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """The outcome tuples (len(flat), len(shape)) of C-order flat indices
+    into a table of `shape`, in `dtype`.  They are computed axis by axis
+    into contiguous rows and returned as the transpose of those rows."""
+    axes = np.empty((len(shape), len(flat)), dtype=dtype)
+    rest = flat
+    for axis in range(len(shape) - 1, 0, -1):
+        rest, axes[axis] = np.divmod(rest, shape[axis])
+    axes[0] = rest
+    return axes.T
 
 
 def empirical_distribution(outcomes: np.ndarray, spec: ChainSpec) -> JointDistribution:
     """Relative tuple frequencies of an outcome array on the chain's sample
-    space.  The float64 table must pass `require_table_size`."""
+    space, counted by `np.bincount`.  The table (8 B per tuple) must pass
+    `require_table_size`."""
     sequence = spec.sequence()
     shape = tuple(obs.n_outcomes for obs in sequence)
     require_table_size(shape, 8)
-    counts = np.zeros(shape)
-    flat_idx = np.ravel_multi_index(tuple(outcomes.T), shape)
-    np.add.at(counts.ravel(), flat_idx, 1.0)
-    counts = counts.reshape(shape)
+    flat = np.ravel_multi_index(tuple(outcomes.T), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
     return JointDistribution(
         [np.asarray(obs.sample_space) for obs in sequence],
         counts / outcomes.shape[0],

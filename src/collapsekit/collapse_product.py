@@ -399,6 +399,8 @@ class JointDistribution:
         return _tuples(self.axes)
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
+        if not np.isfinite(self.probabilities).all():
+            raise ValueError("non-finite probability entry")
         if self.probabilities.min() < 0:
             raise ValueError("negative probability entry")
         if abs(self.probabilities.sum() - 1.0) > tol.num:

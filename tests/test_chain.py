@@ -276,6 +276,60 @@ def plateaus(shape, seed):
     return p
 
 
+def unscaled(probabilities):
+    probabilities = np.asarray(probabilities, dtype=float)
+    return JointDistribution([np.arange(s, dtype=float) for s in probabilities.shape],
+                             probabilities)
+
+
+def c3_like():
+    """Shaped like the chain workload's c3: a non-degenerate first observable
+    measured again at steps 4 and 7 repeats its outcome, so 288 of 4608
+    tuples can have mass; the 12 of them that start (0, 0, 0) have none."""
+    shape = (4, 2, 3, 4, 2, 3, 4, 2)
+    i = np.indices(shape)
+    p = np.random.default_rng(8).random(shape) * ((i[0] == i[3]) & (i[0] == i[6]))
+    p[0, 0, 0] = 0.0
+    return p / p.sum()
+
+
+def overshoot():
+    """A cumulative sum that passes 1 two entries before the end: the forced
+    last CDF value 1.0 lies below the one before it."""
+    p = np.full(40, 1.0 / 38)
+    p[-2:] = 0.0
+    p[-3] += 4e-10
+    p[-1] = 1e-10
+    return p
+
+
+EDGE_CASES = {
+    "c3_like": c3_like(),
+    "leading_and_trailing_zeros": np.r_[np.zeros(7), np.arange(1.0, 12.0), np.zeros(5)] / 66,
+    "sum_reaches_one_early": np.r_[0.25, 0.75, 0.0, 1e-17, 0.0],
+    "overshoot": overshoot(),
+    "one_drawable_entry": np.r_[np.zeros(6), 1.0, np.zeros(3)].reshape(2, 5),
+    "dirichlet_001": np.random.default_rng(4).dirichlet(np.full(4608, 0.01)).reshape(8, 24, 24),
+}
+
+
+def count_guide_tables(monkeypatch) -> list:
+    """Record [K, calls] for each guide table `sample_distribution` builds."""
+    built = []
+
+    class Counting(chain._GuideTable):
+        def __init__(self, values):
+            super().__init__(values)
+            built.append([len(values), 0])
+
+        def __call__(self, u):
+            built[-1][1] += 1
+            return super().__call__(u)
+
+    monkeypatch.setattr(chain, "_GuideTable", Counting)
+    return built
+
+
 class TestSampleDistribution:
     @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (17,), (2, 2, 2), (1, 3, 1),
                                        (4, 2, 3, 4), (7, 9, 5), (3, 1, 16, 2)])
@@ -299,6 +353,86 @@ class TestSampleDistribution:
         monkeypatch.setattr(chain, "_uniform_block", lambda seed, runs, n: u[:, None])
         np.testing.assert_array_equal(sample_distribution(dist, 0, len(u)),
                                       reference_draws(dist, u))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("runs", [1, 1000, BLOCK + 1, 5000 + BLOCK])
+    def test_edge_tables(self, name, runs):
+        dist = unscaled(EDGE_CASES[name])
+        np.testing.assert_array_equal(
+            sample_distribution(dist, 31, runs),
+            reference_draws(dist, philox_uniforms(31, runs, 1)[:, 0]))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_uniforms_on_cdf_values_and_bucket_edges(self, name, monkeypatch):
+        # Every uniform equals a drawable CDF value or a bucket edge g / K
+        # (K drawable entries), or lies one float on either side of one.
+        dist = unscaled(EDGE_CASES[name])
+        cum = np.cumsum(dist.probabilities.ravel())
+        cum[-1] = 1.0
+        values = cum[np.diff(cum, prepend=0.0) > 0]
+        edges = np.arange(len(values) + 1) / len(values)
+        u = np.concatenate([values, edges])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        u = np.concatenate([u, np.zeros(dist.probabilities.size)])    # runs >= entries
+        monkeypatch.setattr(chain, "_uniform_block", lambda seed, runs, n: u[:, None])
+        guides = count_guide_tables(monkeypatch)
+        np.testing.assert_array_equal(sample_distribution(dist, 0, len(u)),
+                                      reference_draws(dist, u))
+        assert guides == [[len(values), -(-len(u) // BLOCK)]]
+
+    @pytest.mark.parametrize("runs", [1, 4607, 4608, 3 * BLOCK + 1])
+    def test_guide_table_only_for_at_least_one_run_per_entry(self, runs, monkeypatch):
+        # With fewer runs than entries each run takes a binary search;
+        # otherwise one guide table over the 276 drawable entries serves
+        # every block.
+        dist = unscaled(EDGE_CASES["c3_like"])
+        guides = count_guide_tables(monkeypatch)
+        drawn = sample_distribution(dist, 5, runs)
+        np.testing.assert_array_equal(
+            drawn, reference_draws(dist, philox_uniforms(5, runs, 1)[:, 0]))
+        assert guides == ([] if runs < 4608 else [[276, -(-runs // BLOCK)]])
+
+    def test_guide_table_values_past_one(self):
+        # Values of 1 + 1/K and more fall past u's last bucket, K.
+        values = np.array([0.1, 0.4, 0.45, 0.5, 1.0, 1.5, 2.5])
+        u = np.sort(np.r_[np.linspace(0.0, 1.0, 50, endpoint=False), values[:4],
+                          np.nextafter(values[:4], 0.0)])
+        np.testing.assert_array_equal(chain._GuideTable(values)(u),
+                                      np.searchsorted(values, u, "right"))
+
+    @pytest.mark.parametrize("probabilities, message", [
+        ([0.25, 0.25], "sum to 1"),
+        ([0.5, np.nan, 0.5], "non-finite"),
+        ([0.5, np.inf, 0.5], "non-finite"),
+        ([0.6, -0.2, 0.6], "negative"),
+    ])
+    @pytest.mark.parametrize("runs", [1, 10])
+    def test_invalid_tables_refused(self, probabilities, message, runs):
+        with pytest.raises(ValueError, match=message):
+            sample_distribution(unscaled(probabilities), 3, runs)
+
+
+class TestEmpiricalDistribution:
+    @pytest.mark.parametrize("observables, runs", [([Z], 1), ([Z], 500), ([Z, X], 0),
+                                                   ([Z, X], 1), ([Z, X, Z], 997)])
+    def test_equals_counting_one_by_one(self, observables, runs):
+        spec = ChainSpec(observables, len(observables))
+        outcomes = np.random.default_rng(runs).integers(0, 2, size=(runs, spec.length))
+        shape = (2,) * spec.length
+        counts = np.zeros(shape)
+        np.add.at(counts.ravel(), np.ravel_multi_index(tuple(outcomes.T), shape), 1.0)
+        with np.errstate(invalid="ignore"):
+            emp = empirical_distribution(outcomes, spec)
+            expected = counts / runs
+        assert emp.probabilities.dtype == np.float64
+        np.testing.assert_array_equal(emp.probabilities, expected)
+
+    def test_shape_one(self):
+        one = observable("One", np.eye(2))
+        emp = empirical_distribution(np.zeros((7, 1), dtype=np.int64), ChainSpec([one], 1))
+        assert emp.probabilities.shape == (1,)
+        assert emp.probabilities.tolist() == [1.0]
 
 
 class TestGuards:
