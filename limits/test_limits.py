@@ -1,14 +1,14 @@
 """The paper's invariants at the size guard's limit.
 
-Builds the largest left-fold and right-fold effect tables that
+Builds the largest left-fold, right-fold and reverse-fold effect tables that
 `MAX_TABLE_BYTES` admits, once each, and checks that every entry is PSD and
 the entries sum to the identity, that the probabilities sum to 1, and that
 the left fold's exact law and its step sampler agree with its table.  It
 also samples a million-step chain at the most runs the step sampler's
 arrays admit and checks its outcome pairs against their closed form, and
-draws from the largest admitted left-fold law with every tuple drawable.  Each
-table takes several seconds and a few hundred MB, so this module sits
-outside the Tier-1 `testpaths`:
+draws from the largest admitted left-fold law with every tuple drawable.
+Each table takes up to half a second and a few hundred MB, so this module
+sits outside the Tier-1 `testpaths`:
 
     PYTHONPATH=src python -m pytest -q limits
 """
@@ -52,7 +52,7 @@ def chain(length, convention):
 STATE = AlgebraicState(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
 
 
-@pytest.fixture(scope="module", params=["left_fold", "right_fold"])
+@pytest.fixture(scope="module", params=["left_fold", "right_fold", "reverse_fold"])
 def largest(request):
     spec = chain(STEPS, request.param)
     table = collapse_effect_tree(spec.sequence(), spec.tree())

@@ -10,10 +10,20 @@ noncommutative and nonassociative, so the bracketing is explicit input: a
 binary tree whose leaves are the measurement sequence in order.
 
 Every table node, the Q-relative collapse and the single product go through
-one kernel: the roots of one stack sandwich every entry of the other by two
-batched matrix products.  The roots are `batched_psd_sqrt`, as in the step
-sampler, whose cut is relative to each entry's trace: deep entries whose
-whole mass is below tol.psd keep their genuine small eigenvalues.
+one kernel, `_combine`.  Since range(X o Y) lies in range(X), every entry of
+a sub-table lies in the range of its lead leaf's outcome projector: the left
+operand's lead, or the right operand's lead at a reverse node.  So a
+sub-table keeps each entry as w x w coefficients in the frame of its lead
+outcome, an orthonormal basis of that projector's range padded with zero
+columns to the observable's largest rank w (`SpectralDecomposition.frames`).
+A node takes the w x w roots of one operand, brings the other in through the
+overlaps of the two frames, and sandwiches; the root node's sandwich gives
+the d x d entries directly.  A leaf is its own root and takes no
+eigensolve.  `sequential_product`, the pair tables and the Q-relative
+collapse run the same kernel in the trivial frame I_d.  The roots are
+`batched_psd_sqrt`, as in the step sampler, whose cut is relative to each
+entry's trace, so a change of frame leaves it unchanged, and deep entries
+whose whole mass is below tol.psd keep their genuine small eigenvalues.
 
 The size policy lives here too: `require_table_size` admits an array only up
 to `MAX_TABLE_BYTES` and 32 axes.  `collapse_effect_tree` and the chain
@@ -26,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,12 +87,13 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 # Largest array, in bytes, that a table or sampler call may allocate.  Measured
-# on 2 CPUs with one BLAS thread (numpy 2.4): the 2**21-tuple left and right
-# folds of a two-outcome d = 2 chain (128 MiB each) built in 8.8 s and 3.4 s
-# with +449 MB and +320 MB peak RSS; the 4**8-tuple left fold of a
-# four-outcome d = 8 chain (64 MiB) in 0.54 s with +164 MB.  Peak RSS stays
-# within 3.5 times the table.  The benchmarks' largest sampler call, 10**6
-# runs of 8 steps at 16 B each, needs 122 MiB.
+# on 2 CPUs with one BLAS thread (numpy 2.4): the 2**21-tuple left, right and
+# reverse folds of a two-outcome d = 2 chain (128 MiB each) built in 0.3-0.4 s,
+# 0.12 s and 0.18-0.19 s with +288, +208 and +208 MiB peak RSS; the
+# 4**8-tuple folds of a four-outcome d = 8 chain (64 MiB) in 0.07-0.19 s with
+# +81 to +103 MiB.  Peak RSS stays within 2.3 times the table.  The
+# benchmarks' largest sampler call, 10**6 runs of 8 steps at 16 B each, needs
+# 122 MiB.
 MAX_TABLE_BYTES = 2**27
 
 
@@ -272,11 +284,63 @@ class JointEffectTable:
         require_effects(self.flat_effects(), tol)
 
 
-def _sandwich(xs: np.ndarray, ys: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """sqrt(X_l) Y_r sqrt(X_l) for every X_l of a stack (L, d, d) and every
-    Y_r of a stack (R, d, d), shape (L, R, d, d)."""
-    roots = batched_psd_sqrt(xs, tol)
-    return roots[:, None] @ ys[None] @ roots[:, None]
+class _Framed(NamedTuple):
+    """A sub-table in the frames of its lead's outcomes.  Entry t is
+    V C(t) V^H, where V (d, w) is the frame of t's outcome on the lead axis.
+    `frames` broadcasts over the sub-table's axes, with the lead's m frames
+    on the lead axis and size 1 elsewhere; the trivial frame I_d has size 1
+    on every axis.  A leaf carries no coefficients: each entry, diag(1_r,
+    0), is its own root."""
+
+    coeffs: np.ndarray | None    # (*outcome counts, w, w), or None for a leaf
+    frames: np.ndarray           # (..., m or 1, 1, ..., d, w)
+
+    @property
+    def ndim(self) -> int:
+        """The number of outcome axes."""
+        return 1 if self.coeffs is None else self.coeffs.ndim - 2
+
+
+def _plain(stack: np.ndarray) -> _Framed:
+    """A stack (n, d, d) as a one-axis sub-table in the trivial frame."""
+    return _Framed(stack, np.eye(stack.shape[-1], dtype=np.complex128)[None])
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _combine(x: _Framed, y: _Framed, x_left: bool, expand: bool,
+             tol: Tolerances) -> _Framed | np.ndarray:
+    """The entrywise sequential product sqrt(X) Y sqrt(X) of every entry of
+    x (the operand whose roots are taken) with every entry of y, axes in
+    (left, right) order with x on the left when `x_left`.
+
+    X = V S^2 V^H for its root S in x's frame V, so the product is V T D T^H
+    V^H in V, with T = S V^H W through y's frame W and D the coefficients
+    of y: T is formed once per (x entry, y lead outcome) and broadcast over
+    y's other axes.  A leaf's coefficients diag(1_r, 0) are their own root,
+    and the padded rows and columns of V^H W are zero, so a leaf x gives
+    T = V^H W and a leaf y gives T T^H.  The result keeps x's frames, or
+    with `expand` is the d x d entry table, from T = V S V^H W."""
+    def place(a, trailing):
+        return a.reshape(a.shape[:-2] + (1,) * trailing + a.shape[-2:])
+
+    fx, fy, cy = x.frames, y.frames, y.coeffs
+    roots = None if x.coeffs is None else batched_psd_sqrt(x.coeffs, tol)
+    if x_left:
+        fx = place(fx, y.ndim)
+        roots = None if roots is None else place(roots, y.ndim)
+    else:
+        fy = place(fy, x.ndim)
+        cy = None if cy is None else place(cy, x.ndim)
+    t = _adjoint(fx) @ fy
+    if roots is not None:
+        t = roots @ t
+    if expand:
+        t = fx @ t
+    out = t @ _adjoint(t) if cy is None else t @ cy @ _adjoint(t)
+    return out if expand else _Framed(out, fx)
 
 
 def sequential_product(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -285,45 +349,34 @@ def sequential_product(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
     if mx.shape != my.shape:
         raise DimensionMismatchError("operand dimension mismatch")
     mx = require_hermitian(mx, tol)
-    return _sandwich(mx[None], my[None], tol)[0, 0]
+    return _combine(_plain(mx[None]), _plain(my[None]), True, True, tol)[0, 0]
 
 
-def _combine(left: JointEffectTable, right: JointEffectTable,
-             reverse: bool, tol: Tolerances) -> JointEffectTable:
-    """Entrywise sequential product of two tables; axis order is always
-    (left axes, right axes) regardless of operand reversal."""
-    lflat = left.flat_effects()
-    rflat = right.flat_effects()
-    if left.dim != right.dim:
-        raise DimensionMismatchError("table dimension mismatch")
+def _plain_pair(a: Observable, b: Observable, reverse: bool,
+                tol: Tolerances) -> JointEffectTable:
+    """A pair table in the trivial frame, axes in (A, B) order; the roots
+    are taken over B when `reverse`."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError("observable dimension mismatch")
+    left, right = _plain(a.projectors), _plain(b.projectors)
     if reverse:
-        # Roots over the right operand, then back to (left, right) order.
-        out = _sandwich(rflat, lflat, tol).swapaxes(0, 1)
+        out = _combine(right, left, False, True, tol)
     else:
-        out = _sandwich(lflat, rflat, tol)
-    shape = left.shape + right.shape + (left.dim, left.dim)
-    return JointEffectTable(list(left.axes) + list(right.axes), out.reshape(shape))
-
-
-def _leaf_table(obs: Observable) -> JointEffectTable:
-    return JointEffectTable([np.asarray(obs.sample_space)], obs.projectors)
+        out = _combine(left, right, True, True, tol)
+    return JointEffectTable([np.asarray(a.sample_space), np.asarray(b.sample_space)], out)
 
 
 def collapse_effect_pair(a: Observable, b: Observable,
                          tol: Tolerances = DEFAULT) -> JointEffectTable:
     """Pair table: effect(alpha_i, beta_j) = P_i P_j P_i."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("observable dimension mismatch")
-    return _combine(_leaf_table(a), _leaf_table(b), reverse=False, tol=tol)
+    return _plain_pair(a, b, False, tol)
 
 
 def reverse_collapse_pair(a: Observable, b: Observable,
                           tol: Tolerances = DEFAULT) -> JointEffectTable:
     """Reverse pair table: effect(alpha_i, beta_j) = P_j P_i P_j, axes kept in
     (A, B) order."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("observable dimension mismatch")
-    return _combine(_leaf_table(a), _leaf_table(b), reverse=True, tol=tol)
+    return _plain_pair(a, b, True, tol)
 
 
 def collapse_effect_tree(observables: list, tree: BracketTree,
@@ -342,12 +395,19 @@ def collapse_effect_tree(observables: list, tree: BracketTree,
             f"tree leaves {tree.leaves} do not match observables 0..{n - 1}"
         )
 
-    def eval_tree(t: BracketTree) -> JointEffectTable:
-        if isinstance(t, Leaf):
-            return _leaf_table(observables[t.index])
-        return _combine(eval_tree(t.left), eval_tree(t.right), t.reverse, tol)
+    axes = [np.asarray(o.sample_space) for o in observables]
+    if isinstance(tree, Leaf):
+        return JointEffectTable(axes, observables[0].projectors)
 
-    return eval_tree(tree)
+    def eval_tree(t: BracketTree, expand: bool):
+        if isinstance(t, Leaf):
+            return _Framed(None, observables[t.index].decomposition.frames)
+        left, right = eval_tree(t.left, False), eval_tree(t.right, False)
+        if t.reverse:
+            return _combine(right, left, False, expand, tol)
+        return _combine(left, right, True, expand, tol)
+
+    return JointEffectTable(axes, eval_tree(tree, True))
 
 
 def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,
@@ -365,8 +425,8 @@ def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,
         given = povm.effects
         if given.shape != rebuilt.shape or max_entry_norm(rebuilt - given) > tol.num:
             raise ValueError(f"POVM {label} is not the stated mixture of the Q set")
-    stack = np.asarray(qs, dtype=np.complex128)
-    core = _sandwich(stack, stack, tol)
+    stack = _plain(np.asarray(qs, dtype=np.complex128))
+    core = _combine(stack, stack, True, True, tol)
     out = np.einsum("lx,my,lmab->xyab", ka, kb, core)
     axes = [np.arange(len(e_a.sample_points)), np.arange(len(e_b.sample_points))]
     return JointEffectTable(axes, out)

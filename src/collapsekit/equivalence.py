@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse_product import JointDistribution
+from .collapse_product import JointDistribution, require_table_size
 from .config import DEFAULT, Tolerances
 from .measurement import AlgebraicState, Observable
 from .operator_core import SpectralDecomposition, commutator_norm
@@ -42,9 +42,15 @@ class CommutativeModel:
         return self.state_diagonal.shape[0]
 
     def primed_matrix(self, k: int) -> np.ndarray:
+        """The k-th primed observable as a dense dim x dim matrix, refused
+        by `require_table_size` before it is allocated."""
+        require_table_size((self.dim, self.dim), 16)
         return np.diag(self.primed_values[k]).astype(np.complex128)
 
     def state(self) -> AlgebraicState:
+        """The diagonal state as a dense density, refused by
+        `require_table_size` before it is allocated."""
+        require_table_size((self.dim, self.dim), 16)
         return AlgebraicState(np.diag(self.state_diagonal).astype(np.complex128))
 
     def joint_probability(self) -> np.ndarray:
@@ -73,6 +79,10 @@ def build_commutative_model(dist: JointDistribution, names=None) -> CommutativeM
     )
 
 
+# Term-by-tuple cells that `verify_equivalence` evaluates at once.
+_TERM_CELLS = 2**16
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     max_deviation: float
@@ -99,21 +109,35 @@ def verify_equivalence(model: CommutativeModel, dist: JointDistribution,
     deviation = float(np.abs(model.joint_probability() - dist.probabilities).max())
 
     rng = np.random.default_rng(seed)
-    values = np.stack(model.primed_values)          # (n_axes, n_tuples)
-    probs = model.state_diagonal
+    values = model.primed_values
+    n_axes, n_tuples = len(values), model.dim
+    # Polynomial p has terms j < n_terms[p], drawn in a loop so that the
+    # random stream is consumed term by term.
+    n_terms = np.zeros(n_polynomials, dtype=np.int64)
+    coeffs = np.zeros((n_polynomials, 4), dtype=np.complex128)
+    degrees = np.zeros((n_polynomials, 4, n_axes), dtype=np.int64)
+    for p in range(n_polynomials):
+        n_terms[p] = rng.integers(1, 5)
+        for j in range(n_terms[p]):
+            coeffs[p, j] = rng.normal() + 1j * rng.normal()
+            degrees[p, j] = rng.integers(0, max_degree + 1, size=n_axes)
+    live = np.arange(4) < n_terms[:, None]
+    exponents = np.arange(max_degree + 1)
+    # Blocks of polynomials of at most _TERM_CELLS terms by tuples, so that
+    # memory stays linear in the tuple count.
+    per_block = max(1, _TERM_CELLS // (4 * n_tuples))
     worst = np.inf
-    n_axes = values.shape[0]
-    for _ in range(n_polynomials):
-        n_terms = int(rng.integers(1, 5))
-        lam_tuple = np.zeros(values.shape[1], dtype=np.complex128)
-        for _ in range(n_terms):
-            coeff = rng.normal() + 1j * rng.normal()
-            degrees = rng.integers(0, max_degree + 1, size=n_axes)
-            mono = np.ones(values.shape[1])
-            for k in range(n_axes):
-                mono = mono * values[k] ** degrees[k]
-            lam_tuple += coeff * mono
-        worst = min(worst, float(np.sum(np.abs(lam_tuple) ** 2 * probs)))
+    for lo in range(0, n_polynomials, per_block):
+        block = slice(lo, lo + per_block)
+        mono = np.ones(degrees[block].shape[:2] + (n_tuples,))
+        for k in range(n_axes):
+            mono = mono * np.stack([values[k] ** e for e in exponents])[degrees[block, :, k]]
+        terms = coeffs[block, :, None] * mono
+        lam_tuple = np.zeros((len(mono), n_tuples), dtype=np.complex128)
+        for j in range(4):
+            lam_tuple[live[block, j]] += terms[live[block, j], j]
+        worst = min(worst, float(np.sum(np.abs(lam_tuple) ** 2 * model.state_diagonal,
+                                        axis=1).min()))
     return EquivalenceReport(deviation, worst, n_polynomials)
 
 
@@ -130,9 +154,11 @@ def qnd_check(observables: list, tol: Tolerances = DEFAULT) -> bool:
 def primed_observable(model: CommutativeModel, k: int,
                       degeneracy_gap: float = 1e-12) -> Observable:
     """The k-th primed observable as a full Observable (exact diagonal
-    clustering; slots sharing a coordinate value merge into one projector)."""
+    clustering; slots sharing a coordinate value merge into one projector).
+    Its (values, dim, dim) projector stack must pass `require_table_size`."""
     vals = model.primed_values[k]
     distinct = np.unique(vals)
+    require_table_size((len(distinct), len(vals), len(vals)), 16)
     members = np.abs(vals - distinct[:, None]) <= degeneracy_gap
     projectors = members[:, :, None] * np.eye(len(vals))
     decomp = SpectralDecomposition(distinct.astype(float), projectors)

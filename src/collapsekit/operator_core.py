@@ -18,6 +18,7 @@ dense complex128 and desk-scale (dim <= 64 by intent, not enforcement).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,7 +133,8 @@ class SpectralDecomposition:
     Eigenvalues are strictly increasing; projectors are Hermitian, mutually
     orthogonal, and sum to the identity.  Degenerate eigenvalues (within the
     clustering gap used at construction) share a single projector, so rank may
-    exceed one.  `projectors` is stored as a read-only (n, d, d) stack.
+    exceed one.  `projectors` is stored as a read-only (n, d, d) stack, and
+    `frames` gives an orthonormal basis of each projector's range.
     """
 
     eigenvalues: np.ndarray
@@ -157,6 +159,20 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.projectors.shape[-1]
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        """The frame V_i = [B_i | 0] of each outcome, as a read-only (n, d, w)
+        stack: B_i is an orthonormal basis of range(P_i), so P_i = V_i V_i^H,
+        and zero columns pad it to the largest rank w.  Computed on first use
+        by one `eigh` of the projector stack (a projector's eigenvalues are 0
+        or 1); `spectral_decompose` hands over its eigenvector blocks."""
+        vals, vecs = np.linalg.eigh(self.projectors)
+        keep = vals[..., ::-1] > 0.5
+        width = max(int(keep.sum(axis=-1).max()), 1)
+        frames = (vecs[..., ::-1] * keep[..., None, :])[..., :width]
+        frames.setflags(write=False)
+        return frames
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -195,13 +211,20 @@ def spectral_decompose(
         raise ValueError("degeneracy_gap must be positive")
     m = require_hermitian(a, tol)
     vals, vecs = np.linalg.eigh(m)
+    groups = _cluster(vals, degeneracy_gap)
+    frames = np.zeros((len(groups), len(m), max(map(len, groups))), dtype=np.complex128)
     eigenvalues = []
     projectors = []
-    for group in _cluster(vals, degeneracy_gap):
+    for frame, group in zip(frames, groups):
         block = vecs[:, group]
+        frame[:, :len(group)] = block
         projectors.append(block @ block.conj().T)
         eigenvalues.append(float(np.mean(vals[group])))
-    return SpectralDecomposition(np.array(eigenvalues), projectors)
+    decomp = SpectralDecomposition(np.array(eigenvalues), projectors)
+    # The eigenvector blocks are the frames: no second eigensolve.
+    frames.setflags(write=False)
+    object.__setattr__(decomp, "frames", frames)
+    return decomp
 
 
 def require_psd_spectra(vals: np.ndarray, tol: Tolerances = DEFAULT,

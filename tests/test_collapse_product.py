@@ -22,11 +22,12 @@ from collapsekit import (
     sequential_product,
 )
 from collapsekit import collapse_product
-from collapsekit.collapse_product import JointEffectTable, _combine
-from collapsekit.measurement import observable
+from collapsekit.collapse_product import _combine, _plain
+from collapsekit.measurement import Observable, observable
 from collapsekit.operator_core import (
     NonHermitianError,
     NotPositiveSemidefiniteError,
+    SpectralDecomposition,
     commutator_norm,
     require_effects,
 )
@@ -45,6 +46,25 @@ from conftest import (
 Z = observable("Z", PAULI_Z)
 X = observable("X", PAULI_X)
 KET0 = AlgebraicState.pure([1.0, 0.0])
+
+
+def reference_tree(obs, tree):
+    """A bracketing's flat effect stack by the `reference_combine` recursion,
+    with every table in d x d entries."""
+    if isinstance(tree, Leaf):
+        return np.asarray(obs[tree.index].projectors, dtype=np.complex128)
+    out = reference_combine(reference_tree(obs, tree.left),
+                            reference_tree(obs, tree.right), tree.reverse)
+    return out.reshape((-1,) + out.shape[-2:])
+
+
+def with_reverse_nodes(tree, flags):
+    """`tree` with its nodes, in pre-order, reversed where `flags` says so."""
+    if isinstance(tree, Leaf):
+        return tree
+    reverse = bool(next(flags))
+    return Node(with_reverse_nodes(tree.left, flags),
+                with_reverse_nodes(tree.right, flags), reverse)
 
 
 class TestSequentialProduct:
@@ -100,35 +120,73 @@ class TestTableKernel:
     def test_matches_einsum_reference(self, rng, n_left, n_right, dim, reverse):
         left = random_psd_stack(rng, n_left, dim)
         right = random_psd_stack(rng, n_right, dim)
-        table = _combine(JointEffectTable([np.arange(n_left)], left),
-                         JointEffectTable([np.arange(n_right)], right),
-                         reverse, DEFAULT)
-        assert table.shape == (n_left, n_right)
+        x, y = _plain(left), _plain(right)
+        if reverse:
+            x, y = y, x
+        effects = _combine(x, y, not reverse, True, DEFAULT)
+        assert effects.shape == (n_left, n_right, dim, dim)
         expected = reference_combine(left, right, reverse)
-        assert np.abs(table.effects - expected).max() < 1e-13
+        assert np.abs(effects - expected).max() < 1e-13
 
     def test_mixed_tree_matches_reference_recursion(self, rng):
         obs = [random_observable(rng, 3, name) for name in "ABCD"]
         tree = Node(Node(Leaf(0), Leaf(1), reverse=True),
                     Node(Leaf(2), Leaf(3)), reverse=True)
-
-        def reference(t):
-            if isinstance(t, Leaf):
-                return np.stack(obs[t.index].projectors).astype(np.complex128)
-            left, right = reference(t.left), reference(t.right)
-            out = reference_combine(left, right, t.reverse)
-            return out.reshape((-1,) + out.shape[-2:])
-
         table = collapse_effect_tree(obs, tree)
-        assert np.abs(table.flat_effects() - reference(tree)).max() < 1e-13
+        assert np.abs(table.flat_effects() - reference_tree(obs, tree)).max() < 1e-13
 
     def test_negative_entry_rejected(self):
-        left = JointEffectTable([np.arange(1)], np.diag([-1e-6, 1.0])[None])
-        right = JointEffectTable([np.arange(1)], np.eye(2)[None])
-        for reverse in (False, True):
-            operands = (right, left) if reverse else (left, right)
+        negative = _plain(np.diag([-1e-6, 1.0])[None])
+        identity = _plain(np.eye(2)[None])
+        for x_left in (False, True):
             with pytest.raises(NotPositiveSemidefiniteError):
-                _combine(*operands, reverse, DEFAULT)
+                _combine(negative, identity, x_left, True, DEFAULT)
+
+
+class TestFramedKernel:
+    """Every sub-table is kept in the frames of its lead leaf's outcomes,
+    which are zero-padded to the observable's largest rank."""
+
+    @pytest.mark.parametrize("dim, ranks", [(4, (2, 1, 1)), (6, (3, 2, 1)), (5, (2, 2, 1))])
+    def test_reverse_nodes_anywhere_mixed_ranks(self, rng, dim, ranks):
+        values = np.repeat(np.arange(len(ranks)), ranks)
+        obs = [degenerate_observable(rng, dim, f"A{k}", values) for k in range(4)]
+        for tree in enumerate_bracketings(4):
+            # Pre-order flags: the root first, so reverse roots over forward
+            # subtrees, forward roots over reverse subtrees, and mixtures.
+            for flags in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+                          (0, 1, 1), (1, 1, 1)):
+                mixed = with_reverse_nodes(tree, iter(flags))
+                table = collapse_effect_tree(obs, mixed)
+                assert table.shape == (len(ranks),) * 4
+                assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
+
+    def test_observables_of_different_widths(self, rng):
+        # Largest ranks 2, 3, 1 and 1: the frames of one tree differ in width.
+        obs = [degenerate_observable(rng, 4, f"A{k}", values)
+               for k, values in enumerate([(0, 0, 1, 2), (0, 0, 0, 1), (0, 1, 2, 3)])]
+        obs.append(random_observable(rng, 4, "R"))
+        for tree in enumerate_bracketings(len(obs)):
+            mixed = with_reverse_nodes(tree, iter(rng.integers(0, 2, size=len(obs))))
+            table = collapse_effect_tree(obs, mixed)
+            assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
+
+    def test_raw_decompositions_take_lazy_frames(self, rng):
+        obs = []
+        for k, values in enumerate([(0, 0, 1, 2), (0, 1, 1, 1), (0, 0, 1, 1)]):
+            given = degenerate_observable(rng, 4, "G", values)
+            decomposition = SpectralDecomposition(given.sample_space, given.projectors)
+            assert "frames" not in vars(decomposition)
+            obs.append(Observable(f"A{k}", decomposition))
+        for tree in enumerate_bracketings(3):
+            for flags in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                mixed = with_reverse_nodes(tree, iter(flags))
+                table = collapse_effect_tree(obs, mixed)
+                assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
+        for o, width in zip(obs, (2, 3, 2)):
+            frames = o.decomposition.frames
+            assert frames.shape == (o.n_outcomes, 4, width)
+            assert np.abs(frames @ frames.conj().swapaxes(1, 2) - o.projectors).max() < 1e-14
 
 
 class TestDeepBracketings:

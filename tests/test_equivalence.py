@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,51 @@ from collapsekit import (
     qnd_check,
     verify_equivalence,
 )
-from collapsekit.collapse_product import JointDistribution
-from collapsekit.equivalence import primed_observable
+from collapsekit import equivalence
+from collapsekit.collapse_product import JointDistribution, TableTooLargeError
+from collapsekit.equivalence import EquivalenceReport, primed_observable
 from collapsekit.measurement import observable
 from collapsekit.operator_core import commutator_norm
 
-from conftest import PAULI_X, PAULI_Z, random_density, random_hermitian
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    degenerate_observable,
+    random_density,
+    random_hermitian,
+)
 
 Z = observable("Z", PAULI_Z)
 X = observable("X", PAULI_X)
 KET0 = AlgebraicState.pure([1.0, 0.0])
+
+
+def reference_verify_equivalence(model, dist, n_polynomials=100, max_degree=3, seed=0):
+    """`verify_equivalence` as a loop over polynomials and their terms."""
+    deviation = float(np.abs(model.joint_probability() - dist.probabilities).max())
+    rng = np.random.default_rng(seed)
+    values = np.stack(model.primed_values)
+    probs = model.state_diagonal
+    worst = np.inf
+    n_axes = values.shape[0]
+    for _ in range(n_polynomials):
+        n_terms = int(rng.integers(1, 5))
+        lam_tuple = np.zeros(values.shape[1], dtype=np.complex128)
+        for _ in range(n_terms):
+            coeff = rng.normal() + 1j * rng.normal()
+            degrees = rng.integers(0, max_degree + 1, size=n_axes)
+            mono = np.ones(values.shape[1])
+            for k in range(n_axes):
+                mono = mono * values[k] ** degrees[k]
+            lam_tuple += coeff * mono
+        worst = min(worst, float(np.sum(np.abs(lam_tuple) ** 2 * probs)))
+    return EquivalenceReport(deviation, worst, n_polynomials)
+
+
+def left_fold_distribution(rng, dim, values, n):
+    obs = [degenerate_observable(rng, dim, f"A{k}", values) for k in range(n)]
+    return joint_distribution(collapse_effect_tree(obs, left_fold_tree(n)),
+                              random_density(rng, dim))
 
 
 class TestBuildCommutativeModel:
@@ -90,6 +127,43 @@ class TestVerifyEquivalence:
         )
         with pytest.raises(ValueError):
             verify_equivalence(model, other)
+
+
+    @pytest.mark.parametrize("term_cells", [equivalence._TERM_CELLS, 1])
+    def test_equal_to_the_loop(self, rng, monkeypatch, term_cells):
+        # term_cells = 1 takes one polynomial per block.
+        monkeypatch.setattr(equivalence, "_TERM_CELLS", term_cells)
+        dists = [left_fold_distribution(rng, 8, np.repeat(np.arange(2.0), 4), 7),
+                 left_fold_distribution(rng, 6, np.repeat([-1.5, 0.25], 3), 6),
+                 JointDistribution([np.arange(2.0), np.arange(3.0), np.arange(4.0)],
+                                   rng.dirichlet(np.ones(24)).reshape(2, 3, 4)),
+                 JointDistribution([rng.normal(size=5)], rng.dirichlet(np.ones(5)))]
+        for dist in dists:
+            model = build_commutative_model(dist)
+            for kwargs in ({}, {"n_polynomials": 9, "max_degree": 5, "seed": 4},
+                           {"n_polynomials": 0}):
+                report = verify_equivalence(model, dist, **kwargs)
+                expected = reference_verify_equivalence(model, dist, **kwargs)
+                assert report.max_deviation == expected.max_deviation
+                assert report.min_polynomial_positivity == expected.min_polynomial_positivity
+                assert report.n_polynomials == expected.n_polynomials
+
+
+class TestDenseGuards:
+    def test_4096_tuples_refused_before_allocating(self):
+        # A dense 4096 x 4096 complex matrix takes 256 MiB.
+        dist = JointDistribution([np.arange(2.0)] * 12, np.full((2,) * 12, 2.0**-12))
+        model = build_commutative_model(dist)
+        for call in (lambda: model.primed_matrix(0), model.state,
+                     lambda: primed_observable(model, 0)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TableTooLargeError):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**24
 
 
 class TestQndCheck:

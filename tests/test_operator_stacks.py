@@ -51,6 +51,23 @@ class TestProjectorStacks:
             assert not stack.flags.writeable
             assert np.array_equal(stack, np.stack(reference_projectors(matrix)))
 
+    def test_frames_span_each_projector(self, rng):
+        # spectral_decompose hands over its eigenvector blocks; a raw
+        # decomposition computes the same frames from its projectors.
+        for _, obs in _observables(rng):
+            handed = obs.decomposition
+            assert "frames" in vars(handed)
+            raw = SpectralDecomposition(handed.eigenvalues, handed.projectors)
+            ranks = np.rint(np.trace(obs.projectors, axis1=1, axis2=2).real)
+            for frames in (handed.frames, raw.frames):
+                assert frames.shape == (obs.n_outcomes, obs.dim, int(ranks.max()))
+                assert not frames.flags.writeable
+                # [B_i | 0]: orthonormal columns, then zero padding.
+                gram = frames.conj().swapaxes(1, 2) @ frames
+                pad = np.arange(frames.shape[-1]) < ranks[:, None]
+                assert np.abs(gram - pad[:, :, None] * np.eye(len(pad[0]))).max() < 1e-14
+                assert np.abs(frames @ frames.conj().swapaxes(1, 2) - obs.projectors).max() < 1e-14
+
     def test_writing_raises(self, rng):
         _, obs = next(_observables(rng))
         with pytest.raises(ValueError):
