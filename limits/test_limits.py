@@ -3,12 +3,14 @@
 Builds the largest left-fold, right-fold and reverse-fold effect tables that
 `MAX_TABLE_BYTES` admits, once each, and checks that every entry is PSD and
 the entries sum to the identity, that the probabilities sum to 1, and that
-the left fold's exact law and its step sampler agree with its table.  It
-also samples a million-step chain at the most runs the step sampler's
-arrays admit and checks its outcome pairs against their closed form, and
-draws from the largest admitted left-fold law with every tuple drawable.
-Each table takes up to half a second and a few hundred MB, so this module
-sits outside the Tier-1 `testpaths`:
+the left fold's exact law and its step sampler agree with its table.  A
+chain of d = 4 observables with two rank-2 outcomes each, whose roots
+branch at every step, checks the left fold's exact law against its table
+at the guard's limit too.  It also samples a million-step chain at the
+most runs the step sampler's arrays admit and checks its outcome pairs
+against their closed form, and draws from the largest admitted left-fold
+law with every tuple drawable.  Each table takes a second or two and a
+few hundred MB, so this module sits outside the Tier-1 `testpaths`:
 
     PYTHONPATH=src python -m pytest -q limits
 """
@@ -105,6 +107,35 @@ def test_step_sampler_agrees_with_the_table(largest):
     observed = np.bincount(group[cells], minlength=BINS)
     statistic = ((observed - expected) ** 2 / expected).sum()
     assert stats.chi2.sf(statistic, BINS - 1) > 1e-3
+
+
+# Two-outcome d = 4 observables whose outcomes have rank two: 256 B per
+# outcome tuple, so the largest admitted chain has 19 steps at 128 MiB.
+# The observables are distinct, so after any outcome prefix the root has
+# rank two and every tuple has mass: no prefix stops branching, and the
+# prefix recursion builds a root for every prefix.
+BRANCHING_STEPS = (MAX_TABLE_BYTES // 256).bit_length() - 1
+
+
+def rank_two_halves(rng, name):
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    return observable(name, (u * np.array([0.0, 0.0, 1.0, 1.0])) @ u.conj().T)
+
+
+def test_branching_law_is_the_table_law():
+    rng = np.random.default_rng(19)
+    family = [rank_two_halves(rng, f"H{k}") for k in range(BRANCHING_STEPS)]
+    assert all(o.decomposition.ranks.tolist() == [2, 2] for o in family)
+    spec = ChainSpec(family, BRANCHING_STEPS, "left_fold")
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = AlgebraicState(m @ m.conj().T / np.trace(m @ m.conj().T).real)
+    exact = exact_chain_distribution(spec, rho)
+    table = collapse_effect_tree(spec.sequence(), spec.tree())
+    assert table.effects.nbytes <= MAX_TABLE_BYTES < 2 * table.effects.nbytes
+    expected = joint_distribution(table, rho)
+    del table
+    assert (exact.probabilities > 0.0).all()
+    assert np.abs(exact.probabilities - expected.probabilities).max() <= 1e-12
 
 
 # The step sampler's uniforms and outcomes take 16 B per run and step: a

@@ -33,10 +33,12 @@ After the first outcome the accumulated root is a multiple of its projector
 P, and every later root sqrt(S P' S) has its range inside range(S).  So the
 step sampler carries each root, state and projector in an orthonormal basis
 of range(P): r x r matrices for a rank-r first outcome instead of d x d.
-When P has rank one the root is a constant, |v><v|: the later measurements
-then act as commuting (QND) operators, and every later step draws from
-<v|P'|v> alone.  The same holds after any later outcome whose projector has
-rank one.  The rank of a projector is its trace.
+The prefix recursion works in the frames the observable's
+`SpectralDecomposition` keeps, the same frames the effect tables use, and
+reads r from its `ranks`.  When P has rank one the root is a constant,
+|v><v|: the later measurements then act as commuting (QND) operators, and
+every later step draws from <v|P'|v> alone.  The same holds after any later
+outcome whose projector has rank one.
 
 Otherwise the root depends on the run only through its outcome prefix, so
 the step sampler keeps one root per distinct prefix: the cost of a step
@@ -81,7 +83,7 @@ from .measurement import (
     ZeroProbabilityOutcomeError,
     clamp_probabilities,
 )
-from .operator_core import DimensionMismatchError, batched_psd_sqrt
+from .operator_core import DimensionMismatchError, SpectralDecomposition, batched_psd_sqrt
 
 __all__ = [
     "ChainSpec",
@@ -235,16 +237,11 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
         raise ValueError("runs must be >= 1")
     cycle = spec.observables[:spec.length]
     if any(obs.dim != rho0.dim for obs in cycle):
-        raise ValueError("observable/state dimension mismatch")
+        raise DimensionMismatchError("observable/state dimension mismatch")
     require_table_size((runs, spec.length), 16)
     uniforms = _uniform_block(spec.seed, runs, spec.length)
-    return _leftfold_draws([obs.projectors for obs in cycle], rho0.density,
+    return _leftfold_draws([obs.decomposition for obs in cycle], rho0.density,
                            uniforms, tol)
-
-
-def _ranks(projs: np.ndarray) -> np.ndarray:
-    """The rank of each projector of a stack: its trace."""
-    return np.rint(np.einsum("jaa->j", projs).real)
 
 
 def _cut(values: np.ndarray, roots: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -306,26 +303,24 @@ def _regroup(group, idx, branches, n_outcomes):
     return (np.cumsum(seen) - 1)[keys], parent, last
 
 
-def _frames(first: np.ndarray, heads: np.ndarray, density: np.ndarray,
+def _frames(first: SpectralDecomposition, heads: np.ndarray, density: np.ndarray,
             tol: Tolerances):
-    """The frame of each first outcome in `heads` (indices into the stack
-    `first`), and what starts there.
+    """The frame of each first outcome in `heads` (outcome indices of the
+    decomposition `first`), and what starts there.
 
     The roots of the prefixes that begin with outcome P stay inside the range
-    of P, which the top eigenvectors of P / Tr P span: the frame, as wide as
-    the largest rank in `heads`.  Returns the (h, d, w) frames, the state in
-    each frame, the (h, w, w) roots sqrt(P / Tr P) in their frames, and
-    whether each root has rank above one; a root of rank one stays |u><u|
-    for ever, so its prefix stops branching."""
-    projs = first[heads]
-    rank = _ranks(projs)
+    of P, which its frame in `first.frames` spans, cut to the largest rank in
+    `heads`.  Returns the (h, d, w) frames, the state in each frame, the
+    (h, w, w) roots sqrt(P / Tr P) in their frames, and whether each root
+    has rank above one; a root of rank one stays |u><u| for ever, so its
+    prefix stops branching."""
+    rank = first.ranks[heads]
     width = int(rank.max())
-    vals, vecs = np.linalg.eigh(projs / np.einsum("gaa->g", projs).real[:, None, None])
-    frames = vecs[..., -width:]
+    frames = first.frames[heads, :, :width]
     states = frames.conj().swapaxes(1, 2) @ density @ frames
-    # P / Tr P in its frame is diagonal: I_r / r.
-    eye = np.eye(width, dtype=np.complex128)
-    roots = batched_psd_sqrt(eye * vals[:, None, -width:], tol)
+    # P / Tr P in its frame is diagonal: I_r / r, then zero padding.
+    diagonal = np.where(np.arange(width) < rank[:, None], 1.0 / rank[:, None], 0.0)
+    roots = batched_psd_sqrt(np.eye(width, dtype=np.complex128) * diagonal[:, None], tol)
     return frames, states, roots, rank > 1
 
 
@@ -347,22 +342,23 @@ def _next_roots(roots: np.ndarray, projs: np.ndarray, tol: Tolerances) -> np.nda
     return batched_psd_sqrt(unit, tol)
 
 
-def _extend(roots, home, branches, parent, last, projs, stack, tol: Tolerances):
+def _extend(roots, home, branches, parent, last, projs, ranks, tol: Tolerances):
     """The prefix step of the sampler and the law: prefix i becomes prefix
-    parent[i] then outcome last[i] of `stack` (projs in each frame).
-    Returns the new roots, frames (home) and which roots still branch."""
+    parent[i] then outcome last[i] of the step, whose projectors in each
+    frame are `projs` and whose ranks are `ranks`.  Returns the new roots,
+    frames (home) and which roots still branch."""
     grow = branches[parent]
     home, roots = home[parent], roots[parent]
     roots[grow] = _next_roots(roots[grow], projs[home[grow], last[grow]], tol)
-    return roots, home, grow & (_ranks(stack)[last] > 1)
+    return roots, home, grow & (ranks[last] > 1)
 
 
 def _leftfold_draws(cycle: list, density: np.ndarray, uniforms: np.ndarray,
                     tol: Tolerances) -> np.ndarray:
     """The step sampler's draws.
 
-    Step k measures the (m, d, d) projector stack cycle[k % len(cycle)]; row
-    r of `uniforms` drives run r by inverse CDF over the outcomes in order.
+    Step k measures the decomposition cycle[k % len(cycle)]; row r of
+    `uniforms` drives run r by inverse CDF over the outcomes in order.
     Once no root branches, the roots, states, frames and groups are fixed,
     so all later steps at one position of the cycle draw from one CDF table
     in one pass."""
@@ -372,34 +368,34 @@ def _leftfold_draws(cycle: list, density: np.ndarray, uniforms: np.ndarray,
     first = cycle[0]
     group = np.broadcast_to(np.int64(0), (runs,))     # one group for every run
     eye = np.eye(len(density), dtype=np.complex128)
-    _count(_cdf(eye[None], density[None], first[None], tol), group,
+    _count(_cdf(eye[None], density[None], first.projectors[None], tol), group,
            uniforms[:, :1], outcomes[:, :1])
     if n == 1:
         return outcomes
     # One group, and one frame, per first outcome drawn.
-    group, _, drawn = _regroup(group, outcomes[:, 0], np.ones(1, dtype=bool), len(first))
+    group, _, drawn = _regroup(group, outcomes[:, 0], np.ones(1, dtype=bool), len(first.ranks))
     frames, states, roots, branches = _frames(first, drawn, density, tol)
     home = np.arange(len(drawn))             # group -> its first outcome's frame
     k = 1
     while k < n and branches.any():
-        stack = cycle[k % c]
-        projs = _in_frames(frames, stack)
+        step = cycle[k % c]
+        projs = _in_frames(frames, step.projectors)
         _count(_cdf(roots, states[home], projs[home], tol), group,
                uniforms[:, k:k + 1], outcomes[:, k:k + 1])
         if k + 1 < n:
-            group, parent, last = _regroup(group, outcomes[:, k], branches, len(stack))
+            group, parent, last = _regroup(group, outcomes[:, k], branches, len(step.ranks))
             roots, home, branches = _extend(roots, home, branches, parent, last,
-                                            projs, stack, tol)
+                                            projs, step.ranks, tol)
         k += 1
     # No root branches from step k on.
     for s in range(k, min(k + c, n)):
-        stack = cycle[s % c]
-        _count(_cdf(roots, states[home], _in_frames(frames, stack)[home], tol), group,
+        projs = _in_frames(frames, cycle[s % c].projectors)
+        _count(_cdf(roots, states[home], projs[home], tol), group,
                uniforms[:, s::c], outcomes[:, s::c])
     return outcomes
 
 
-def _leftfold_law(stacks: list, density: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _leftfold_law(steps: list, density: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Tr[rho E] for the left-fold effect E of every outcome tuple, in C
     order: the step sampler's recursion run over every prefix instead of
     the drawn ones, with the same frames and the same root updates.
@@ -413,24 +409,25 @@ def _leftfold_law(stacks: list, density: np.ndarray, tol: Tolerances) -> np.ndar
     group g has the root roots[g] in frame home[g].  While some root
     branches, every prefix is its own group and every outcome extends it;
     after that, each group serves the block of its m descendants."""
-    first = stacks[0]
-    if len(stacks) == 1:
-        return np.einsum("ab,jba->j", density, first).real
-    home = np.arange(len(first))
+    first = steps[0]
+    if len(steps) == 1:
+        return np.einsum("ab,jba->j", density, first.projectors).real
+    home = np.arange(len(first.ranks))
     frames, states, roots, branches = _frames(first, home, density, tol)
-    mass = np.einsum("jaa->j", first).real[:, None]     # (groups, m): Tr P
-    for stack in stacks[1:-1]:
-        projs = _in_frames(frames, stack)
+    mass = first.ranks[:, None]             # (groups, m): Tr P, the rank
+    for step in steps[1:-1]:
+        projs = _in_frames(frames, step.projectors)
         share = np.einsum("gab,gjba->gj", roots @ roots, projs[home]).real
         share = np.where(_cut(share, roots, tol), share, 0.0)
         mass = mass[..., None] * share[:, None]
         if branches.any():
-            parent, last = np.divmod(np.arange(share.size), len(stack))
+            parent, last = np.divmod(np.arange(share.size), len(step.ranks))
             roots, home, branches = _extend(roots, home, branches, parent, last,
-                                            projs, stack, tol)
+                                            projs, step.ranks, tol)
         mass = mass.reshape(len(roots), -1)
     conditional = roots @ states[home] @ roots
-    probs = np.einsum("gab,gjba->gj", conditional, _in_frames(frames, stacks[-1])[home]).real
+    projs = _in_frames(frames, steps[-1].projectors)
+    probs = np.einsum("gab,gjba->gj", conditional, projs[home]).real
     probs = np.where(_cut(probs, roots, tol), probs, 0.0)
     return (mass[..., None] * probs[:, None]).ravel()
 
@@ -462,7 +459,7 @@ def exact_chain_distribution(spec: ChainSpec, rho0: AlgebraicState,
         return joint_distribution(table, rho0, tol)
     if shape[-1] != rho0.dim:
         raise DimensionMismatchError("effects/state dimension mismatch")
-    raw = _leftfold_law([obs.projectors for obs in sequence], rho0.density, tol)
+    raw = _leftfold_law([obs.decomposition for obs in sequence], rho0.density, tol)
     probs = clamp_probabilities(raw, tol).reshape(shape[:-2])
     return JointDistribution([np.asarray(obs.sample_space) for obs in sequence], probs)
 

@@ -35,7 +35,6 @@ from .instruments import (
 )
 from .io import DocumentError, load_document
 from .measurement import AlgebraicState, Observable, VectorState
-from .operator_core import spectral_decompose
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -112,12 +111,10 @@ def _dist_rows(dist) -> list:
 
 
 def cmd_decompose(args, tol) -> int:
-    obs = load_document(args.file, tol, expect="observable")
-    decomp = spectral_decompose(obs.matrix(), args.gap, tol) if args.gap else obs.decomposition
-    ranks = np.rint(np.trace(decomp.projectors, axis1=1, axis2=2).real).astype(int).tolist()
+    decomp = load_document(args.file, tol, expect="observable").decomposition
     _emit({
         "eigenvalues": [_fmt(v) for v in decomp.eigenvalues],
-        "ranks": ranks,
+        "ranks": decomp.ranks.tolist(),
     }, args.format)
     return EXIT_OK
 
@@ -264,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="eigenvalues and projector ranks")
     p.add_argument("file")
-    p.add_argument("--gap", type=float, default=None,
-                   help="override the degeneracy clustering gap")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("joint", help="collapse-product joint distribution")

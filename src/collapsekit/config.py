@@ -7,7 +7,9 @@ double-precision eigensolves up to dimension ~64 pass comfortably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from numbers import Real
 
 
 @dataclass(frozen=True)
@@ -20,6 +22,14 @@ class Tolerances:
     num: float = 1e-9
     # Outcomes with probability below this cannot be conditioned on.
     prob: float = 1e-12
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"tolerance {f.name} must be a finite non-negative "
+                                 f"real number, got {value!r}")
 
     def with_overrides(self, **kwargs) -> "Tolerances":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

@@ -133,8 +133,8 @@ class SpectralDecomposition:
     Eigenvalues are strictly increasing; projectors are Hermitian, mutually
     orthogonal, and sum to the identity.  Degenerate eigenvalues (within the
     clustering gap used at construction) share a single projector, so rank may
-    exceed one.  `projectors` is stored as a read-only (n, d, d) stack, and
-    `frames` gives an orthonormal basis of each projector's range.
+    exceed one.  `projectors` is stored as a read-only (n, d, d) stack,
+    `ranks` holds each rank and `frames` an orthonormal basis of each range.
     """
 
     eigenvalues: np.ndarray
@@ -161,16 +161,23 @@ class SpectralDecomposition:
         return self.projectors.shape[-1]
 
     @cached_property
+    def ranks(self) -> np.ndarray:
+        """The rank of each projector, its trace rounded to an integer, as a
+        read-only (n,) int64 array: the package's one rank rule."""
+        ranks = np.rint(np.einsum("jaa->j", self.projectors).real).astype(np.int64)
+        ranks.setflags(write=False)
+        return ranks
+
+    @cached_property
     def frames(self) -> np.ndarray:
         """The frame V_i = [B_i | 0] of each outcome, as a read-only (n, d, w)
         stack: B_i is an orthonormal basis of range(P_i), so P_i = V_i V_i^H,
         and zero columns pad it to the largest rank w.  Computed on first use
-        by one `eigh` of the projector stack (a projector's eigenvalues are 0
-        or 1); `spectral_decompose` hands over its eigenvector blocks."""
-        vals, vecs = np.linalg.eigh(self.projectors)
-        keep = vals[..., ::-1] > 0.5
-        width = max(int(keep.sum(axis=-1).max()), 1)
-        frames = (vecs[..., ::-1] * keep[..., None, :])[..., :width]
+        from the top `ranks` eigenvectors of one `eigh` of the projector
+        stack; `spectral_decompose` hands over its eigenvector blocks."""
+        vecs = np.linalg.eigh(self.projectors)[1][..., ::-1]
+        width = max(int(self.ranks.max()), 1)
+        frames = vecs[..., :width] * (np.arange(width) < self.ranks[:, None])[:, None]
         frames.setflags(write=False)
         return frames
 
@@ -212,16 +219,13 @@ def spectral_decompose(
     m = require_hermitian(a, tol)
     vals, vecs = np.linalg.eigh(m)
     groups = _cluster(vals, degeneracy_gap)
-    frames = np.zeros((len(groups), len(m), max(map(len, groups))), dtype=np.complex128)
-    eigenvalues = []
-    projectors = []
-    for frame, group in zip(frames, groups):
-        block = vecs[:, group]
-        frame[:, :len(group)] = block
-        projectors.append(block @ block.conj().T)
-        eigenvalues.append(float(np.mean(vals[group])))
-    decomp = SpectralDecomposition(np.array(eigenvalues), projectors)
+    blocks = [vecs[:, group] for group in groups]
+    decomp = SpectralDecomposition([vals[g].mean() for g in groups],
+                                   [b @ b.conj().T for b in blocks])
     # The eigenvector blocks are the frames: no second eigensolve.
+    frames = np.zeros((len(groups), len(m), decomp.ranks.max()), dtype=np.complex128)
+    for frame, block in zip(frames, blocks):
+        frame[:, :block.shape[1]] = block
     frames.setflags(write=False)
     object.__setattr__(decomp, "frames", frames)
     return decomp

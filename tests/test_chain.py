@@ -26,7 +26,11 @@ from collapsekit.collapse_product import (
     joint_distribution,
     left_fold_tree,
 )
-from collapsekit.measurement import ZeroProbabilityOutcomeError, observable
+from collapsekit.measurement import (
+    ZeroProbabilityOutcomeError,
+    discretize_observable,
+    observable,
+)
 from collapsekit.operator_core import DimensionMismatchError
 
 from conftest import (
@@ -446,7 +450,7 @@ class TestGuards:
             exact_chain_distribution(ChainSpec([Z], 22), MIXED)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             sample_chain_leftfold(
                 ChainSpec([Z], 2), AlgebraicState.maximally_mixed(3), 10
             )
@@ -810,3 +814,23 @@ class TestExactLeftFoldLaw:
     def test_state_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             exact_chain_distribution(ChainSpec([Z, X], 3), AlgebraicState.maximally_mixed(3))
+
+    def test_raw_decompositions(self):
+        # The prefix recursion reads each outcome's frame and rank from the
+        # observable's decomposition: raw ones from `discretize_observable`
+        # compute their frames from the projectors, while `observable()`
+        # hands over the eigenvector blocks of its own eigensolve.  Both give
+        # the same law and the same draws.
+        rng = np.random.default_rng(18)
+        raw = [discretize_observable(degenerate_observable(rng, 5, f"A{k}", np.arange(5)),
+                                     thresholds)
+               for k, thresholds in enumerate([[0.5, 2.5], [1.5], [0.5, 1.5, 3.5]])]
+        assert [o.decomposition.ranks.tolist() for o in raw] == [[1, 2, 2], [2, 3], [1, 1, 2, 1]]
+        assert not any("frames" in vars(o.decomposition) for o in raw)
+        built = [observable(o.name, o.matrix()) for o in raw]
+        rho = random_density(rng, 5)
+        spec, same = ChainSpec(raw, 5, seed=18), ChainSpec(built, 5, seed=18)
+        law = exact_chain_distribution(spec, rho).probabilities
+        assert np.abs(law - exact_chain_distribution(same, rho).probabilities).max() <= 1e-15
+        np.testing.assert_array_equal(sample_chain_leftfold(spec, rho, 20_000),
+                                      sample_chain_leftfold(same, rho, 20_000))

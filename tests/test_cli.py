@@ -103,6 +103,21 @@ class TestDecompose:
     def test_wrong_kind_exit_2(self, docs, capsys):
         assert main(["decompose", docs["ket0"]]) == 2
 
+    def test_degeneracy_gap_from_the_document(self, docs, capsys):
+        # Eigenvalues 1 and 1 + 1e-9 share a cluster at the default gap of
+        # 1e-8 and split at a document gap of 1e-12.
+        doc = {"kind": "observable", "name": "N",
+               "matrix": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 + 1e-9]]}
+        for extra, ranks in (({}, [1, 2]), ({"degeneracy_gap": 1e-12}, [1, 1, 1])):
+            path = write(docs["tmp"] / "near.json", {**doc, **extra})
+            assert main(["--format=json", "decompose", path]) == 0
+            assert json.loads(capsys.readouterr().out)["ranks"] == ranks
+
+    def test_gap_flag_removed(self, docs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", docs["z"], "--gap", "1e-12"])
+        assert exc.value.code == 2
+
     def test_malformed_json_reports_position(self, docs, capsys):
         bad = docs["tmp"] / "bad.json"
         bad.write_text('{"kind": "observable", "matrix": [[1, }')
@@ -409,6 +424,19 @@ class TestToleranceFlags:
         capsys.readouterr()
         assert main(["--config", str(cfg), "--tol-herm", "1e-3",
                      "decompose", str(near)]) == 0
+
+    @pytest.mark.parametrize("flags", [["--tol-psd", "-1"], ["--tol-prob", "nan"],
+                                       ["--tol-num", "inf"]], ids=" ".join)
+    def test_bad_flag_exit_2(self, docs, capsys, flags):
+        assert main(flags + ["decompose", docs["z"]]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("cfg", [{"herm": "x"}, {"psd": -1e-9}, {"num": True},
+                                     {"prob": [1e-12]}], ids=json.dumps)
+    def test_bad_config_exit_2(self, docs, capsys, cfg):
+        path = write(docs["tmp"] / "cfg.json", cfg)
+        assert main(["--config", path, "decompose", docs["z"]]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestDocumentRoundTrip:

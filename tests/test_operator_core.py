@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from collapsekit import DEFAULT, AlgebraicState
+from collapsekit import DEFAULT, AlgebraicState, Tolerances
 from collapsekit.operator_core import (
     DimensionMismatchError,
     NonHermitianError,
@@ -140,6 +140,20 @@ class TestPsdSlack:
             else:
                 with pytest.raises(NotPositiveSemidefiniteError):
                     check()
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", ["x", True, -1e-9, float("nan"), float("inf")],
+                             ids=repr)
+    def test_refused_where_made(self, value):
+        with pytest.raises(ValueError):
+            Tolerances(herm=value)
+        with pytest.raises(ValueError):
+            DEFAULT.with_overrides(prob=value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1, np.float64(1e-3), np.float32(1e-3)], ids=repr)
+    def test_finite_non_negative_reals_accepted(self, value):
+        assert Tolerances(psd=value).psd == value
 
 
 class TestCommutatorNorm:

@@ -53,12 +53,19 @@ class TestProjectorStacks:
 
     def test_frames_span_each_projector(self, rng):
         # spectral_decompose hands over its eigenvector blocks; a raw
-        # decomposition computes the same frames from its projectors.
+        # decomposition computes the same frames from its projectors.  Both
+        # take their width from `ranks`, the projectors' traces, read-only.
         for _, obs in _observables(rng):
             handed = obs.decomposition
             assert "frames" in vars(handed)
             raw = SpectralDecomposition(handed.eigenvalues, handed.projectors)
             ranks = np.rint(np.trace(obs.projectors, axis1=1, axis2=2).real)
+            for decomposition in (handed, raw):
+                assert decomposition.ranks.dtype == np.int64
+                np.testing.assert_array_equal(decomposition.ranks, ranks)
+                with pytest.raises(ValueError):
+                    decomposition.ranks[0] = 0
+            assert "frames" not in vars(raw)
             for frames in (handed.frames, raw.frames):
                 assert frames.shape == (obs.n_outcomes, obs.dim, int(ranks.max()))
                 assert not frames.flags.writeable
