@@ -61,6 +61,10 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
+# The names of the `--tol-*` flags and of the `--config` keys.
+_TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
+
+
 def _tolerances(args) -> Tolerances:
     # Precedence: flag > config file > default.
     tol = DEFAULT
@@ -72,14 +76,13 @@ def _tolerances(args) -> Tolerances:
             raise DocumentError(f"{args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DocumentError(f"{args.config}: top level must be an object")
-        tol = tol.with_overrides(
-            herm=cfg.get("herm"), psd=cfg.get("psd"),
-            num=cfg.get("num"), prob=cfg.get("prob"),
-        )
-    return tol.with_overrides(
-        herm=args.tol_herm, psd=args.tol_psd,
-        num=args.tol_num, prob=args.tol_prob,
-    )
+        unknown = sorted(set(cfg) - set(_TOLERANCE_NAMES))
+        if unknown:
+            raise DocumentError(f"{args.config}: unknown tolerance keys {unknown}; "
+                                f"expected some of {list(_TOLERANCE_NAMES)}")
+        tol = tol.with_overrides(**cfg)
+    return tol.with_overrides(**{name: getattr(args, f"tol_{name}")
+                                 for name in _TOLERANCE_NAMES})
 
 
 # `--tree` names a fold convention without its "_fold" suffix.
@@ -252,11 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint probability construction for sequential measurements",
     )
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--config", help="JSON file with tolerance overrides")
-    parser.add_argument("--tol-herm", type=float, default=None)
-    parser.add_argument("--tol-psd", type=float, default=None)
-    parser.add_argument("--tol-num", type=float, default=None)
-    parser.add_argument("--tol-prob", type=float, default=None)
+    parser.add_argument("--config", help="JSON object of tolerance overrides, keys "
+                        + ", ".join(_TOLERANCE_NAMES))
+    for name in _TOLERANCE_NAMES:
+        parser.add_argument(f"--tol-{name}", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="eigenvalues and projector ranks")

@@ -19,16 +19,19 @@ columns to the observable's largest rank w (`SpectralDecomposition.frames`).
 A node takes the w x w roots of one operand, brings the other in through the
 overlaps of the two frames, and sandwiches; the root node's sandwich gives
 the d x d entries directly.  A leaf is its own root and takes no
-eigensolve.  `sequential_product`, the pair tables and the Q-relative
-collapse run the same kernel in the trivial frame I_d.  The roots are
+eigensolve, so the pair tables, the trees `Node(Leaf(0), Leaf(1))` and its
+reverse, take none at all.  `sequential_product` and the Q-relative
+collapse, whose operands are not projectors, run the same kernel in the
+trivial frame I_d.  The roots are
 `batched_psd_sqrt`, as in the step sampler, whose cut is relative to each
 entry's trace, so a change of frame leaves it unchanged, and deep entries
 whose whole mass is below tol.psd keep their genuine small eigenvalues.
 
 The size policy lives here too: `require_table_size` admits an array only up
-to `MAX_TABLE_BYTES` and 32 axes.  `collapse_effect_tree` and the chain
-samplers, whose arrays grow with a sample space or a run count, check the
-shape they will allocate before allocating it.
+to `MAX_TABLE_BYTES` and 32 axes.  `collapse_effect_tree` (the pair
+tables with it) and the chain samplers, whose arrays grow with a sample
+space or a run count, check the shape they will allocate before allocating
+it.
 """
 
 from __future__ import annotations
@@ -352,31 +355,18 @@ def sequential_product(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
     return _combine(_plain(mx[None]), _plain(my[None]), True, True, tol)[0, 0]
 
 
-def _plain_pair(a: Observable, b: Observable, reverse: bool,
-                tol: Tolerances) -> JointEffectTable:
-    """A pair table in the trivial frame, axes in (A, B) order; the roots
-    are taken over B when `reverse`."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("observable dimension mismatch")
-    left, right = _plain(a.projectors), _plain(b.projectors)
-    if reverse:
-        out = _combine(right, left, False, True, tol)
-    else:
-        out = _combine(left, right, True, True, tol)
-    return JointEffectTable([np.asarray(a.sample_space), np.asarray(b.sample_space)], out)
-
-
 def collapse_effect_pair(a: Observable, b: Observable,
                          tol: Tolerances = DEFAULT) -> JointEffectTable:
-    """Pair table: effect(alpha_i, beta_j) = P_i P_j P_i."""
-    return _plain_pair(a, b, False, tol)
+    """Pair table: effect(alpha_i, beta_j) = P_i P_j P_i, the tree
+    `Node(Leaf(0), Leaf(1))`."""
+    return collapse_effect_tree([a, b], Node(Leaf(0), Leaf(1)), tol)
 
 
 def reverse_collapse_pair(a: Observable, b: Observable,
                           tol: Tolerances = DEFAULT) -> JointEffectTable:
     """Reverse pair table: effect(alpha_i, beta_j) = P_j P_i P_j, axes kept in
-    (A, B) order."""
-    return _plain_pair(a, b, True, tol)
+    (A, B) order: the tree `Node(Leaf(0), Leaf(1), reverse=True)`."""
+    return collapse_effect_tree([a, b], Node(Leaf(0), Leaf(1), reverse=True), tol)
 
 
 def collapse_effect_tree(observables: list, tree: BracketTree,

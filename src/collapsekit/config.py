@@ -12,6 +12,13 @@ from dataclasses import dataclass, fields, replace
 from numbers import Real
 
 
+def is_finite_real(value) -> bool:
+    """Whether `value` is a finite real number and not a bool: the package's
+    one test for a numeric setting read from a document or a config file."""
+    return (not isinstance(value, bool) and isinstance(value, Real)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class Tolerances:
     # Hermiticity residual, relative to the max-entry norm of the operator.
@@ -26,8 +33,7 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, Real)
-                    or not math.isfinite(value) or value < 0):
+            if not is_finite_real(value) or value < 0:
                 raise ValueError(f"tolerance {f.name} must be a finite non-negative "
                                  f"real number, got {value!r}")
 

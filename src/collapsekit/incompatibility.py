@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -141,10 +140,6 @@ def admits_global_joint(problem: MarginalProblem,
     return FeasibilityVerdict(False, None, certificate, float(result.violation))
 
 
-def _bipartite_correlator(state: AlgebraicState, a: Observable, b: Observable) -> float:
-    return float(np.real(state.expect(np.kron(a.matrix(), b.matrix()))))
-
-
 def _check_chsh_inputs(state, a_pair, b_pair, tol):
     da = a_pair[0].dim
     db = b_pair[0].dim
@@ -158,14 +153,36 @@ def _check_chsh_inputs(state, a_pair, b_pair, tol):
             raise ValueError(f"observable {obs.name} has non-(+/-1) sample space")
 
 
+def _context_tables(state: AlgebraicState, a_pair, b_pair, tol: Tolerances) -> list:
+    """The four setting tables p_ij(a, b) = Tr[rho (P_a (x) Q_b)] of a
+    two-party experiment, clamped, as [[A1B1, A1B2], [A2B1, A2B2]], after
+    the CHSH input checks."""
+    _check_chsh_inputs(state, a_pair, b_pair, tol)
+    # rho[(a, b), (a', b')] as rho[a, b, a', b'], so Tr[rho (P (x) Q)] is
+    # one contraction over both factors.
+    da, db = a_pair[0].dim, b_pair[0].dim
+    rho = state.density.reshape(da, db, da, db)
+    return [[clamp_probabilities(
+                np.einsum("abcd,ica,jdb->ij", rho, a.projectors, b.projectors).real, tol)
+             for b in b_pair] for a in a_pair]
+
+
+def _correlators(state: AlgebraicState, a_pair, b_pair, tol: Tolerances) -> np.ndarray:
+    """E(A_i B_j) = sum_ab a b p_ij(a, b) over the context tables, as (2, 2)."""
+    tables = _context_tables(state, a_pair, b_pair, tol)
+    return np.array([[a.sample_space @ table @ b.sample_space
+                      for b, table in zip(b_pair, row)]
+                     for a, row in zip(a_pair, tables)])
+
+
 def chsh_value(state: AlgebraicState, a1: Observable, a2: Observable,
                b1: Observable, b2: Observable, tol: Tolerances = DEFAULT) -> float:
     """|E(A1B1) + E(A1B2) + E(A2B1) - E(A2B2)| for +/-1-valued observables on
-    the two tensor factors.  Raises if the quantum bound 2*sqrt(2) is exceeded
-    beyond tolerance."""
-    _check_chsh_inputs(state, (a1, a2), (b1, b2), tol)
-    e = [[_bipartite_correlator(state, a, b) for b in (b1, b2)] for a in (a1, a2)]
-    value = abs(e[0][0] + e[0][1] + e[1][0] - e[1][1])
+    the two tensor factors, with each correlator taken from the setting
+    table that `chsh_marginal_problem` uses.  Raises if the quantum bound
+    2*sqrt(2) is exceeded beyond tolerance."""
+    e = _correlators(state, (a1, a2), (b1, b2), tol)
+    value = float(abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]))
     if value > CHSH_QUANTUM_BOUND + tol.num:
         raise ValueError(f"CHSH value {value!r} exceeds the quantum bound")
     return value
@@ -175,17 +192,11 @@ def chsh_max_over_signs(state: AlgebraicState, a1: Observable, a2: Observable,
                         b1: Observable, b2: Observable,
                         tol: Tolerances = DEFAULT) -> float:
     """Maximum of the eight CHSH combinations (one minus sign in any slot,
-    either overall sign).  For 2-setting/2-outcome no-signalling marginals, a
-    global joint exists iff this maximum is at most 2."""
-    _check_chsh_inputs(state, (a1, a2), (b1, b2), tol)
-    e = np.array([[_bipartite_correlator(state, a, b) for b in (b1, b2)]
-                  for a in (a1, a2)])
-    best = 0.0
-    for i, j in product(range(2), range(2)):
-        signs = np.ones((2, 2))
-        signs[i, j] = -1.0
-        best = max(best, abs(float((signs * e).sum())))
-    return best
+    either overall sign): max |sum E - 2 E_ij|.  For 2-setting/2-outcome
+    no-signalling marginals, a global joint exists iff this maximum is at
+    most 2."""
+    e = _correlators(state, (a1, a2), (b1, b2), tol)
+    return float(np.abs(e.sum() - 2.0 * e).max())
 
 
 def chsh_marginal_problem(state: AlgebraicState, a1: Observable, a2: Observable,
@@ -193,20 +204,12 @@ def chsh_marginal_problem(state: AlgebraicState, a1: Observable, a2: Observable,
                           tol: Tolerances = DEFAULT) -> MarginalProblem:
     """The four pairwise setting distributions of a two-party experiment as a
     marginal problem over axes (A1, A2, B1, B2)."""
-    _check_chsh_inputs(state, (a1, a2), (b1, b2), tol)
-    # rho[(a, b), (a', b')] as rho[a, b, a', b'], so Tr[rho (P (x) Q)] is
-    # one contraction over both factors.
-    rho = state.density.reshape(a1.dim, b1.dim, a1.dim, b1.dim)
-    axes = {}
+    tables = _context_tables(state, (a1, a2), (b1, b2), tol)
+    a_named, b_named = (("A1", a1), ("A2", a2)), (("B1", b1), ("B2", b2))
+    axes = {name: [float(v) for v in obs.sample_space] for name, obs in (*a_named, *b_named)}
     contexts = []
-    for a_name, a in (("A1", a1), ("A2", a2)):
-        axes[a_name] = [float(v) for v in a.sample_space]
-    for b_name, b in (("B1", b1), ("B2", b2)):
-        axes[b_name] = [float(v) for v in b.sample_space]
-    for a_name, a in (("A1", a1), ("A2", a2)):
-        for b_name, b in (("B1", b1), ("B2", b2)):
-            table = clamp_probabilities(
-                np.einsum("abcd,ica,jdb->ij", rho, a.projectors, b.projectors).real, tol)
+    for (a_name, a), row in zip(a_named, tables):
+        for (b_name, b), table in zip(b_named, row):
             dist = JointDistribution(
                 [np.asarray(a.sample_space), np.asarray(b.sample_space)], table
             )

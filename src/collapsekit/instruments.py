@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse_product import JointDistribution
+from .collapse_product import JointDistribution, require_table_size
 from .config import DEFAULT, Tolerances
 from .measurement import Observable, VectorState, clamp_probabilities
 from .operator_core import DimensionMismatchError
@@ -76,11 +76,13 @@ def build_instrument(a: Observable, ancilla_dim: int,
 
     Requires ancilla_dim >= n_outcomes + 1 (ready pointer plus one pointer per
     outcome).  Degenerate eigenspaces share a pointer; the projectors must be
-    a PVM, which makes U unitary."""
+    a PVM, which makes U unitary.  The dense U, (d a)^2 complex entries, is
+    refused by `require_table_size` before it is allocated."""
     if ancilla_dim < a.n_outcomes + 1:
         raise ValueError(
             f"ancilla dim {ancilla_dim} < {a.n_outcomes + 1} (outcomes + ready)"
         )
+    require_table_size((a.dim * ancilla_dim,) * 2, 16)
     a.decomposition.check(tol)
     exchanges = np.eye(ancilla_dim)[_exchange_ready(
         np.arange(ancilla_dim), np.arange(1, a.n_outcomes + 1)[:, None])]
@@ -215,7 +217,9 @@ def build_joint_instrument(dist_target: JointDistribution,
     The enlarged system has one basis vector per outcome tuple; A' and B' are
     the commuting diagonals of the tuple coordinates; |psi_AB> carries the
     nonnegative square roots of the target probabilities (phases are free and
-    fixed to be real); U_AB is the controlled double pointer shift."""
+    fixed to be real); U_AB is the controlled double pointer shift, a dense
+    (T d_A d_B)^2 matrix over T tuples, refused by `require_table_size`
+    before it is allocated."""
     if len(dist_target.axes) != 2:
         raise ValueError("joint instrument targets a pair distribution")
     dist_target.check(tol)
@@ -225,8 +229,9 @@ def build_joint_instrument(dist_target: JointDistribution,
     da, db = ancilla_dims
     if da < na + 1 or db < nb + 1:
         raise ValueError("ancilla too small for the outcome counts")
-    tuples = dist_target.tuples()
     n_tuples = na * nb
+    require_table_size((n_tuples * da * db,) * 2, 16)
+    tuples = dist_target.tuples()
     primed_a = np.array([t[0] for t in tuples])
     primed_b = np.array([t[1] for t in tuples])
     psi = np.sqrt(dist_target.probabilities.ravel()).astype(np.complex128)

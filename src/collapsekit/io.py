@@ -59,8 +59,15 @@ def _matrix_json(m: np.ndarray) -> list:
 def _parse_observable(doc, tol: Tolerances) -> Observable:
     matrix = _parse_matrix(doc.get("matrix"), "matrix")
     name = doc.get("name", "A")
-    gap = float(doc.get("degeneracy_gap", 1e-8))
-    return observable(name, matrix, gap, tol)
+    return observable(name, matrix, doc.get("degeneracy_gap", 1e-8), tol)
+
+
+def _integer(doc: dict, key: str, default: int) -> int:
+    """The JSON integer at `key` (bools refused), or `default` if absent."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{key}: expected an integer, got {value!r}")
+    return value
 
 
 def _load_kind(doc: dict, tol: Tolerances):
@@ -91,11 +98,14 @@ def _load_kind(doc: dict, tol: Tolerances):
         if not isinstance(obs_docs, list) or not obs_docs:
             raise DocumentError("chain-spec needs a non-empty observables list")
         obs = [_parse_observable(o, tol) for o in obs_docs]
+        convention = doc.get("convention", "left_fold")
+        if not isinstance(convention, str):
+            raise DocumentError(f"convention: expected a fold name, got {convention!r}")
         return ChainSpec(
             observables=obs,
-            length=int(doc.get("length", len(obs))),
-            convention=doc.get("convention", "left_fold"),
-            seed=int(doc.get("seed", 0)),
+            length=_integer(doc, "length", len(obs)),
+            convention=convention,
+            seed=_integer(doc, "seed", 0),
         )
     # marginal-problem
     axes_doc = doc.get("axes")

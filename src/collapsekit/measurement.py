@@ -129,6 +129,8 @@ class VectorState:
 
     def __post_init__(self):
         psi = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
+        if not np.isfinite(psi).all():
+            raise ValueError("vector has non-finite amplitudes")
         norm = float(np.linalg.norm(psi))
         if abs(norm - 1.0) > self.tol.num:
             raise ValueError(f"vector norm {norm!r} != 1")
@@ -186,7 +188,10 @@ class POVM:
 
 def clamp_probabilities(raw: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Clamp tiny negatives from floating eigensolves to 0 and renormalize;
-    raise if an entry is below -tol.num or the sum is off 1 by over tol.num."""
+    raise if an entry is not finite, an entry is below -tol.num or the sum
+    is off 1 by over tol.num."""
+    if not np.isfinite(raw).all():
+        raise ValueError("non-finite probability entry")
     if raw.min() < -tol.num:
         raise ValueError(f"probability {raw.min():.3e} below -{tol.num:.1e}")
     p = np.clip(raw, 0.0, None)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, is_finite_real
 
 __all__ = [
     "NonHermitianError",
@@ -174,7 +174,7 @@ class SpectralDecomposition:
         stack: B_i is an orthonormal basis of range(P_i), so P_i = V_i V_i^H,
         and zero columns pad it to the largest rank w.  Computed on first use
         from the top `ranks` eigenvectors of one `eigh` of the projector
-        stack; `spectral_decompose` hands over its eigenvector blocks."""
+        stack, however the decomposition was built."""
         vecs = np.linalg.eigh(self.projectors)[1][..., ::-1]
         width = max(int(self.ranks.max()), 1)
         frames = vecs[..., :width] * (np.arange(width) < self.ranks[:, None])[:, None]
@@ -214,21 +214,15 @@ def spectral_decompose(
     products, and its eigenvalue the rank-weighted mean.  Eigenvector phases
     inside a cluster never escape: only the projector is returned.
     """
-    if degeneracy_gap <= 0:
-        raise ValueError("degeneracy_gap must be positive")
+    if not is_finite_real(degeneracy_gap) or degeneracy_gap <= 0:
+        raise ValueError(f"degeneracy_gap must be a finite positive real number, "
+                         f"got {degeneracy_gap!r}")
     m = require_hermitian(a, tol)
     vals, vecs = np.linalg.eigh(m)
     groups = _cluster(vals, degeneracy_gap)
     blocks = [vecs[:, group] for group in groups]
-    decomp = SpectralDecomposition([vals[g].mean() for g in groups],
-                                   [b @ b.conj().T for b in blocks])
-    # The eigenvector blocks are the frames: no second eigensolve.
-    frames = np.zeros((len(groups), len(m), decomp.ranks.max()), dtype=np.complex128)
-    for frame, block in zip(frames, blocks):
-        frame[:, :block.shape[1]] = block
-    frames.setflags(write=False)
-    object.__setattr__(decomp, "frames", frames)
-    return decomp
+    return SpectralDecomposition([vals[g].mean() for g in groups],
+                                 [b @ b.conj().T for b in blocks])
 
 
 def require_psd_spectra(vals: np.ndarray, tol: Tolerances = DEFAULT,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from collapsekit.collapse_product import (
     collapse_effect_tree,
     joint_distribution,
 )
+from collapsekit.config import Tolerances
 from collapsekit.io import DocumentError, dump_document, load_document
 from collapsekit.measurement import AlgebraicState, observable
 
@@ -118,6 +120,16 @@ class TestDecompose:
             main(["decompose", docs["z"], "--gap", "1e-12"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("gap", ["1e400", "NaN", "true", '"x"', "0", "-1e-8"])
+    def test_gap_not_a_finite_positive_real_exit_2(self, docs, capsys, gap):
+        # 1e400 reads as inf, which would merge diag(1, 1, 2) into one outcome.
+        path = docs["tmp"] / "gap.json"
+        path.write_text('{"kind": "observable", "name": "N", "degeneracy_gap": ' + gap
+                        + ', "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]}')
+        assert main(["--format=json", "decompose", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degeneracy_gap" in captured.err
+
     def test_malformed_json_reports_position(self, docs, capsys):
         bad = docs["tmp"] / "bad.json"
         bad.write_text('{"kind": "observable", "matrix": [[1, }')
@@ -223,6 +235,14 @@ class TestInstruments:
         table = {r["outcomes"]: float(r["probability"]) for r in payload["joint"]}
         assert table["1,1"] == pytest.approx(0.5)
         assert float(payload["luders_duality_max_deviation"]) <= 1e-12
+
+    def test_non_finite_vector_exit_2(self, docs, capsys):
+        # Python's json reads NaN; the vector is refused, not sampled.
+        nan = docs["tmp"] / "nan.json"
+        nan.write_text('{"kind": "vector", "amplitudes": [NaN, 0]}')
+        assert main(["instruments", docs["z"], docs["x"], "--vector", str(nan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
 
 
     def test_pointer_statistics_computed_once(self, docs, capsys, monkeypatch):
@@ -431,6 +451,19 @@ class TestToleranceFlags:
         assert main(flags + ["decompose", docs["z"]]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_flags_and_config_keys_are_the_tolerance_fields(self, docs, capsys):
+        names = [f.name for f in dataclasses.fields(Tolerances)]
+        flags = {a.dest for a in build_parser()._actions if a.dest.startswith("tol_")}
+        assert flags == {f"tol_{name}" for name in names}
+        cfg = write(docs["tmp"] / "cfg.json", {name: 0.5 for name in names})
+        assert main(["--config", cfg, "brackets", "3"]) == 0
+
+    def test_unknown_config_key_exit_2(self, docs, capsys):
+        path = write(docs["tmp"] / "cfg.json", {"herm": 1e-3, "hrem": 1e-3})
+        assert main(["--config", path, "brackets", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'hrem'" in captured.err
+
     @pytest.mark.parametrize("cfg", [{"herm": "x"}, {"psd": -1e-9}, {"num": True},
                                      {"prob": [1e-12]}], ids=json.dumps)
     def test_bad_config_exit_2(self, docs, capsys, cfg):
@@ -516,6 +549,24 @@ class TestInputErrors:
                 "--seed", "-1"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: seed -1")
+
+
+class TestChainSpecDocuments:
+    @pytest.mark.parametrize("field, value", [
+        ("convention", {"x": 1}), ("convention", 3),
+        ("length", 2.9), ("length", True), ("length", "3"),
+        ("seed", True), ("seed", 1.0), ("seed", None),
+    ], ids=repr)
+    def test_field_of_the_wrong_type_exit_2(self, docs, capsys, field, value):
+        with open(docs["chain"]) as fh:
+            doc = json.load(fh)
+        path = write(docs["tmp"] / "spec.json", {**doc, field: value})
+        argv = ["chain", path, "--state", docs["ket0"], "--runs", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {field}:")
+        with pytest.raises(DocumentError, match=field):
+            load_document(path)
 
 
 class TestPovmDocuments:

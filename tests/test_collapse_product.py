@@ -253,6 +253,23 @@ class TestCollapsePair:
         rev = reverse_collapse_pair(Z, Z)
         assert np.abs(fwd.effects - rev.effects).max() < 1e-12
 
+    def test_the_two_leaf_trees_with_no_root(self, rng, monkeypatch):
+        # Both operands are leaves, each its own root: no eigensolve.
+        def no_root(*args, **kwargs):
+            raise AssertionError("a pair table took a PSD root")
+
+        monkeypatch.setattr(collapse_product, "batched_psd_sqrt", no_root)
+        for dim, values in ((2, [0, 1]), (5, [0, 0, 1, 2, 2]), (6, np.arange(6))):
+            a = degenerate_observable(rng, dim, "A", values)
+            b = degenerate_observable(rng, dim, "B", [1, 0, 0, 1, 1, 0][:dim])
+            p, q = a.projectors[:, None], b.projectors[None]
+            for pair, reverse, reference in ((collapse_effect_pair, False, p @ q @ p),
+                                             (reverse_collapse_pair, True, q @ p @ q)):
+                table = pair(a, b)
+                tree = collapse_effect_tree([a, b], Node(Leaf(0), Leaf(1), reverse=reverse))
+                assert np.array_equal(table.effects, tree.effects)
+                assert np.abs(table.effects - reference).max() < 1e-14
+
 
 class TestBracketings:
     def test_catalan_counts(self):

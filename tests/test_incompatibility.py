@@ -23,6 +23,8 @@ from collapsekit.rational_lp import FeasibilityResult, feasibility_lp
 from conftest import (
     assert_exact_optimum,
     direction_observable,
+    random_density,
+    random_unitary,
     reference_feasibility_lp,
     singlet_state,
 )
@@ -275,6 +277,39 @@ class TestChsh:
         fixed = chsh_value(state, a1, a2, b1, b2)
         best = chsh_max_over_signs(state, a1, a2, b1, b2)
         assert best >= fixed - 1e-12
+
+    @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3)])
+    def test_correlators_from_the_context_tables(self, rng, da, db):
+        # Each correlator is sum a b p_ij(a, b) over the table that
+        # chsh_marginal_problem hands to the LP, and agrees with the dense
+        # <A (x) B> of the reconstructed matrices; the all-sign maximum is
+        # the largest of the eight signed sums.
+        def pm_observable(name, dim):
+            u = random_unitary(rng, dim)
+            return observable(name, (u * rng.choice(PM, size=dim)) @ u.conj().T)
+
+        def correlator(dist):
+            return dist.axes[0] @ dist.probabilities @ dist.axes[1]
+
+        for _ in range(10):
+            a1, a2 = pm_observable("A1", da), pm_observable("A2", da)
+            b1, b2 = pm_observable("B1", db), pm_observable("B2", db)
+            state = random_density(rng, da * db)
+            contexts = dict(chsh_marginal_problem(state, a1, a2, b1, b2).contexts)
+            e = np.array([[correlator(contexts[(a, b)]) for b in ("B1", "B2")]
+                          for a in ("A1", "A2")])
+            dense = np.array([[state.expect(np.kron(a.matrix(), b.matrix())).real
+                               for b in (b1, b2)] for a in (a1, a2)])
+            assert np.abs(e - dense).max() < 1e-13
+            assert chsh_value(state, a1, a2, b1, b2) == abs(
+                e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+            signed = []
+            for k in range(4):
+                signs = np.ones(4)
+                signs[k] = -1.0
+                signed.append(abs(signs @ dense.ravel()))
+            assert chsh_max_over_signs(state, a1, a2, b1, b2) == pytest.approx(
+                max(signed), abs=1e-13)
 
     def test_rejects_non_pm_observables(self):
         state = AlgebraicState.maximally_mixed(4)

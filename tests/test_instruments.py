@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from collapsekit import (
     luders_duality_check,
     sequential_probabilities,
 )
-from collapsekit.collapse_product import JointDistribution
+from collapsekit.collapse_product import JointDistribution, TableTooLargeError
 from collapsekit.measurement import observable
 from collapsekit.operator_core import DimensionMismatchError, commutator_norm
 
@@ -164,6 +166,29 @@ class TestJointInstrument:
             np.abs(model.psi) ** 2 - target.probabilities.ravel()
         ).max() < 1e-15
         assert np.all(model.psi.imag == 0.0)
+
+    def test_dense_unitaries_past_the_size_guard_refused_before_allocation(self):
+        # A 10 x 10 target needs a (100 * 11 * 11)^2 complex U_AB, 2.3 GB;
+        # a qubit pointer of 10**4 levels a (2 * 10**4)^2 complex U.
+        target = JointDistribution([np.arange(10.0)] * 2, np.full((10, 10), 0.01))
+        for call in (lambda: build_joint_instrument(target),
+                     lambda: build_instrument(Z, 10**4)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TableTooLargeError):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**24
+
+    def test_benchmarked_sizes_admitted(self, rng):
+        # The largest dense unitaries the benchmarks build: 900^2 and 110^2.
+        target = JointDistribution([np.arange(5.0)] * 2,
+                                   rng.dirichlet(np.ones(25)).reshape(5, 5))
+        assert build_joint_instrument(target).unitary.shape == (900, 900)
+        a = observable("A", random_hermitian(rng, 10))
+        assert build_instrument(a, a.n_outcomes + 1).unitary.shape == (110, 110)
 
     def test_rejects_non_pair(self):
         three = observable("A", np.diag([1.0, 2.0, 3.0]))

@@ -56,6 +56,12 @@ class TestStateAxioms:
         with pytest.raises(ValueError):
             VectorState([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))],
+                             ids=repr)
+    def test_vector_state_refuses_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            VectorState([bad, 0.0])
+
 
 class TestProbabilityDensity:
     def test_eigenstate(self):
@@ -252,3 +258,10 @@ class TestClampProbabilities:
             clamp_probabilities(np.array([1.1, -0.1]), DEFAULT)
         with pytest.raises(ValueError, match="sum to"):
             clamp_probabilities(np.array([0.5, 0.4]), DEFAULT)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            clamp_probabilities(np.array([bad, 0.0]), DEFAULT)
+        with pytest.raises(ValueError, match="non-finite"):
+            clamp_probabilities(np.array([0.5, 0.5, bad]), DEFAULT)

@@ -47,6 +47,17 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError):
             spectral_decompose(PAULI_Z, degeneracy_gap=0.0)
 
+    @pytest.mark.parametrize("gap", [-1e-8, float("inf"), float("nan"), True, "x", None],
+                             ids=repr)
+    def test_gap_not_a_finite_positive_real_rejected(self, gap):
+        with pytest.raises(ValueError, match="degeneracy_gap"):
+            spectral_decompose(PAULI_Z, degeneracy_gap=gap)
+
+    @pytest.mark.parametrize("gap", [1, 0.5, np.float64(1e-8), np.float32(1e-3)], ids=repr)
+    def test_finite_positive_gap_accepted(self, gap):
+        decomp = spectral_decompose(np.diag([1.0, 1.0, 2.0]), degeneracy_gap=gap)
+        assert decomp.ranks.tolist() == [2, 1]
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_reconstruction_and_completeness(self, rng, dim):
         for _ in range(5):

@@ -52,12 +52,13 @@ class TestProjectorStacks:
             assert np.array_equal(stack, np.stack(reference_projectors(matrix)))
 
     def test_frames_span_each_projector(self, rng):
-        # spectral_decompose hands over its eigenvector blocks; a raw
-        # decomposition computes the same frames from its projectors.  Both
-        # take their width from `ranks`, the projectors' traces, read-only.
+        # A decomposition from spectral_decompose and a raw one over the same
+        # projectors both compute their frames from the projectors on first
+        # use.  Both take their width from `ranks`, the projectors' traces,
+        # read-only.
         for _, obs in _observables(rng):
             handed = obs.decomposition
-            assert "frames" in vars(handed)
+            assert "frames" not in vars(handed)
             raw = SpectralDecomposition(handed.eigenvalues, handed.projectors)
             ranks = np.rint(np.trace(obs.projectors, axis1=1, axis2=2).real)
             for decomposition in (handed, raw):

@@ -20,11 +20,14 @@ from collapsekit.collapse_product import (
     MAX_TABLE_BYTES,
     JointDistribution,
     TableTooLargeError,
+    collapse_effect_pair,
     collapse_effect_tree,
     effect_table_shape,
     left_fold_tree,
     require_table_size,
+    reverse_collapse_pair,
 )
+from collapsekit.instruments import build_instrument, build_joint_instrument
 from collapsekit.measurement import AlgebraicState, observable
 from collapsekit.operator_core import DimensionMismatchError
 
@@ -72,6 +75,12 @@ ENTRY_POINTS = {
     "empirical_distribution": (
         lambda: empirical_distribution(np.zeros((5, 3), dtype=np.int64),
                                        ChainSpec([Z, X], 3)), (2, 2, 2), 8),
+    "collapse_effect_pair": (lambda: collapse_effect_pair(Z, X), (2, 2, 2, 2), 16),
+    "reverse_collapse_pair": (lambda: reverse_collapse_pair(Z, X), (2, 2, 2, 2), 16),
+    # U on system (x) pointer, 2 * 3 levels.
+    "build_instrument": (lambda: build_instrument(Z, 3), (6, 6), 16),
+    # U_AB on 2 * 3 tuples (x) 3 * 4 pointer levels.
+    "build_joint_instrument": (lambda: build_joint_instrument(_dist((2, 3))), (72, 72), 16),
 }
 
 
