@@ -6,17 +6,18 @@ substreams that can be evaluated in any order with byte-identical results.
 
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
-chain length), and direct sampling of the exact joint distribution for any
-bracketing.  For the left fold that exact law is the step sampler's own
-recursion run over every outcome prefix instead of the drawn ones, with the
-same frames and root updates, so the two mechanisms agree by construction;
-other bracketings trace the effect table of `collapse_effect_tree`.
+chain length), and direct sampling of the exact joint distribution under any
+of the three named folds of `FOLD_TREES` (left, right and reverse).  For the
+left fold that exact law is the step sampler's own recursion run over every
+outcome prefix instead of the drawn ones, with the same frames and root
+updates, so the two mechanisms agree by construction; the other folds trace
+the effect table of `collapse_effect_tree`.
 The CLI's `joint` and `equivalence` take their law from here too.  The
 table sampler searches the flattened CDF by guide table (indexed search)
 over the entries that can be drawn and gathers each run's outcome tuple
 whole, with the draws of one binary search per run.  The effect table
 holds one d x d entry per outcome tuple, and its size, not a fixed step
-count, bounds the chain under every bracketing:
+count, bounds the chain under every fold:
 `collapse_product.require_table_size` refuses a chain whose table would be
 past `MAX_TABLE_BYTES` or 32 axes with `TableTooLargeError` before anything
 is built.  The samplers' outcome arrays go through the same check.
@@ -61,6 +62,7 @@ tuples exact zeros, never rounding residue.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,20 +116,29 @@ _BLOCK = 2**15
 class ChainSpec:
     """A measurement sequence plus a collapse convention and an RNG seed.
 
-    `observables` is cycled to reach `length` when shorter."""
+    `observables` is cycled to reach `length` when shorter.  `convention`
+    names one of the folds in `CONVENTIONS`.  `length` and `seed` are
+    integers (not bools), with length >= 1 and seed in [0, 2**64).  Each
+    refused field raises `ValueError` with a message that starts with the
+    field's name."""
 
     observables: list
     length: int
-    convention: object = "left_fold"     # name or explicit BracketTree
+    convention: str = "left_fold"
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("chain length must be >= 1")
         if not self.observables:
             raise ValueError("at least one observable required")
-        if isinstance(self.convention, str) and self.convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
+        if not isinstance(self.convention, str) or self.convention not in CONVENTIONS:
+            raise ValueError(f"convention: expected one of {CONVENTIONS}, "
+                             f"got {self.convention!r}")
+        for name in ("length", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}: expected an integer, got {value!r}")
+        if self.length < 1:
+            raise ValueError(f"length {self.length} is below 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
 
@@ -136,12 +147,7 @@ class ChainSpec:
                 for k in range(self.length)]
 
     def tree(self) -> BracketTree:
-        if isinstance(self.convention, str):
-            return FOLD_TREES[self.convention](self.length)
-        tree = self.convention
-        if tree.leaves != tuple(range(self.length)):
-            raise ValueError("explicit tree does not match the chain length")
-        return tree
+        return FOLD_TREES[self.convention](self.length)
 
 
 @dataclass(frozen=True)
@@ -446,11 +452,11 @@ def exact_chain_distribution(spec: ChainSpec, rho0: AlgebraicState,
 
     The left fold's law is the step sampler's recursion over every outcome
     prefix: r x r roots in the frame of the first outcome, and probabilities
-    alone at the last step.  Other bracketings trace the effect table of
-    `collapse_effect_tree`.  Either way the probabilities are clamped and
-    renormalised by `clamp_probabilities`.  Raises `TableTooLargeError` when
-    the effect table is past the size guard, before the chain's sequence or
-    tree is built."""
+    alone at the last step.  The right and reverse folds trace the effect
+    table of `collapse_effect_tree`.  Either way the probabilities are
+    clamped and renormalised by `clamp_probabilities`.  Raises
+    `TableTooLargeError` when the effect table is past the size guard, before
+    the chain's sequence or tree is built."""
     shape = _table_shape(spec)
     require_table_size(shape, 16)
     sequence = spec.sequence()
@@ -619,7 +625,7 @@ def compare_conventions(specs: list, rho0: AlgebraicState, runs: int,
         empirical_distribution(sample_distribution(law, s.seed, runs), s)
         for law, s in zip(exact, specs)
     ]
-    names = [str(s.convention) for s in specs]
+    names = [s.convention for s in specs]
     exact_tv = {}
     empirical_tv = {}
     for i in range(len(specs)):

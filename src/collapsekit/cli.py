@@ -215,7 +215,7 @@ def cmd_chain(args, tol) -> int:
     if args.emit_records:
         chain_mod.write_records(outcomes, sys.stdout)
         return EXIT_OK
-    convention = str(spec.convention)
+    convention = spec.convention
     try:
         if exact is None:
             exact = chain_mod.exact_chain_distribution(spec, state, tol)

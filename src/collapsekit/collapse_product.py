@@ -449,6 +449,10 @@ class JointDistribution:
         return _tuples(self.axes)
 
     def check(self, tol: Tolerances = DEFAULT) -> None:
+        lengths = tuple(len(ax) for ax in self.axes)
+        if self.probabilities.shape != lengths:
+            raise ValueError(f"probabilities of shape {self.probabilities.shape} "
+                             f"over axes of lengths {lengths}")
         if not np.isfinite(self.probabilities).all():
             raise ValueError("non-finite probability entry")
         if self.probabilities.min() < 0:

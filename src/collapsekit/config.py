@@ -13,10 +13,15 @@ from numbers import Real
 
 
 def is_finite_real(value) -> bool:
-    """Whether `value` is a finite real number and not a bool: the package's
-    one test for a numeric setting read from a document or a config file."""
-    return (not isinstance(value, bool) and isinstance(value, Real)
-            and math.isfinite(value))
+    """Whether `value` is a real number, not a bool, that is finite as a
+    float: the package's one test for a numeric setting read from a document
+    or a config file.  An integer past the float range is refused."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -151,15 +151,15 @@ def qnd_check(observables: list, tol: Tolerances = DEFAULT) -> bool:
     return True
 
 
-def primed_observable(model: CommutativeModel, k: int,
-                      degeneracy_gap: float = 1e-12) -> Observable:
-    """The k-th primed observable as a full Observable (exact diagonal
-    clustering; slots sharing a coordinate value merge into one projector).
-    Its (values, dim, dim) projector stack must pass `require_table_size`."""
+def primed_observable(model: CommutativeModel, k: int) -> Observable:
+    """The k-th primed observable as a full Observable.  Its slots are exact
+    copies of the axis values, so slots with equal values, and only those,
+    share a projector.  Its (values, dim, dim) projector stack must pass
+    `require_table_size`."""
     vals = model.primed_values[k]
-    distinct = np.unique(vals)
+    distinct, slot_value = np.unique(vals, return_inverse=True)
     require_table_size((len(distinct), len(vals), len(vals)), 16)
-    members = np.abs(vals - distinct[:, None]) <= degeneracy_gap
+    members = np.arange(len(distinct))[:, None] == slot_value
     projectors = members[:, :, None] * np.eye(len(vals))
     decomp = SpectralDecomposition(distinct.astype(float), projectors)
     return Observable(model.names[k], decomp)

@@ -38,24 +38,36 @@ CHSH_QUANTUM_BOUND = 2.0 * np.sqrt(2.0)
 # to finish in under a minute (pairwise marginals of a Dirichlet joint over
 # 4x4x8x8, 4x4x4x4x4 and ten binary axes took 7 s or less on 2 CPUs).
 MAX_TUPLES = 1024
+# Largest exact minimum violation that `admits_global_joint` still calls
+# feasible.
+FEASIBLE_VIOLATION = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
 class MarginalProblem:
     """Named axes with sample spaces, plus context distributions over subsets
-    of the axes."""
+    of the axes.  Each context names declared axes, one per axis of its
+    distribution and of the same length, and its distribution passes
+    `JointDistribution.check`; a refused context k raises `ValueError` with
+    a message that starts with `contexts[k]`."""
 
     axes: dict                    # name -> list of sample values
     contexts: list                # list of (axis-name tuple, JointDistribution)
 
     def __post_init__(self):
-        for names, dist in self.contexts:
-            if len(names) != len(dist.axes):
-                raise ValueError(f"context {names} arity mismatch")
-            for name, ax in zip(names, dist.axes):
-                if len(self.axes[name]) != len(ax):
-                    raise ValueError(f"axis {name} size mismatch in context {names}")
-            dist.check()
+        for k, (names, dist) in enumerate(self.contexts):
+            undeclared = [name for name in names if name not in self.axes]
+            if undeclared:
+                raise ValueError(f"contexts[{k}]: undeclared axes {undeclared}")
+            declared = tuple(len(self.axes[name]) for name in names)
+            lengths = tuple(len(ax) for ax in dist.axes)
+            if lengths != declared:
+                raise ValueError(f"contexts[{k}]: axes of lengths {lengths} for "
+                                 f"{names}, declared with {declared}")
+            try:
+                dist.check()
+            except ValueError as exc:
+                raise ValueError(f"contexts[{k}]: {exc}") from exc
 
     def axis_order(self) -> list:
         return list(self.axes)
@@ -89,15 +101,14 @@ class FeasibilityVerdict:
 
 
 def admits_global_joint(problem: MarginalProblem,
-                        tolerance: Fraction = Fraction(1, 10**9),
                         tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     """Exact-rational feasibility of the marginal problem.
 
     Variables are the probabilities of full outcome tuples; each context entry
     contributes one equality constraint.  Phase-1 simplex minimizes the total
     violation exactly; floating-point context tables are taken at their exact
-    dyadic values, so verdicts are stable down to `tolerance`.  Tuple spaces
-    larger than MAX_TUPLES raise ValueError."""
+    dyadic values, so verdicts are stable down to `FEASIBLE_VIOLATION`.
+    Tuple spaces larger than MAX_TUPLES raise ValueError."""
     problem.check_shared_marginals(tol)
     order = problem.axis_order()
     sizes = [len(problem.axes[name]) for name in order]
@@ -125,7 +136,7 @@ def admits_global_joint(problem: MarginalProblem,
     rows = np.concatenate(blocks).astype(np.int64)
 
     result = feasibility_lp(rows, rhs)
-    if result.feasible(tolerance):
+    if result.feasible(FEASIBLE_VIOLATION):
         probs = np.array([float(v) for v in result.solution]).reshape(sizes)
         total = probs.sum()
         joint = JointDistribution(

@@ -4,6 +4,11 @@ Documents are JSON with a top-level "kind" in {observable, state, vector,
 povm, chain-spec, marginal-problem}.  Complex scalars are two-element
 [re, im] arrays; matrices are row-major.  Serialization uses shortest
 round-trip float formatting, so documents survive load/save losslessly.
+
+This module checks only the JSON shape of a document (objects, lists, and
+finite numbers where numbers belong); every other rule is checked by the
+type the document builds, and its `ValueError` becomes a `DocumentError`
+that names the document's path.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .collapse_product import JointDistribution
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, is_finite_real
 from .incompatibility import MarginalProblem
 from .measurement import (
     POVM,
@@ -33,23 +38,40 @@ class DocumentError(ValueError):
     """Malformed document; message carries position info when available."""
 
 
+def _number(value, where: str) -> float:
+    """The JSON number `value` as a float: the one rule for every numeric
+    document value.  Bools, strings, other JSON values and non-finite
+    numbers are refused."""
+    if is_finite_real(value):
+        return float(value)
+    if isinstance(value, float):
+        raise DocumentError(f"{where}: non-finite number {value!r}")
+    raise DocumentError(f"{where}: expected a finite real number, got {value!r}")
+
+
 def _parse_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
     if isinstance(entry, list) and len(entry) == 2:
-        return complex(entry[0], entry[1])
-    raise DocumentError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+        return complex(_number(entry[0], f"{where}[0]"), _number(entry[1], f"{where}[1]"))
+    return complex(_number(entry, where))
+
+
+def _parse_table(value, where: str):
+    """Nested lists of numbers, as nested lists of floats."""
+    if isinstance(value, list):
+        return [_parse_table(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return _number(value, where)
 
 
 def _parse_matrix(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise DocumentError(f"{where}: expected a non-empty list of rows")
-    data = [[_parse_complex(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(rows)]
-    m = np.array(data, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DocumentError(f"{where}: matrix is not square ({m.shape})")
-    return m
+    data = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(rows):
+            raise DocumentError(f"{where}[{i}]: expected a row of {len(rows)} entries, "
+                                f"got {row!r}")
+        data.append([_parse_complex(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(data, dtype=np.complex128)
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -60,14 +82,6 @@ def _parse_observable(doc, tol: Tolerances) -> Observable:
     matrix = _parse_matrix(doc.get("matrix"), "matrix")
     name = doc.get("name", "A")
     return observable(name, matrix, doc.get("degeneracy_gap", 1e-8), tol)
-
-
-def _integer(doc: dict, key: str, default: int) -> int:
-    """The JSON integer at `key` (bools refused), or `default` if absent."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{key}: expected an integer, got {value!r}")
-    return value
 
 
 def _load_kind(doc: dict, tol: Tolerances):
@@ -98,42 +112,33 @@ def _load_kind(doc: dict, tol: Tolerances):
         if not isinstance(obs_docs, list) or not obs_docs:
             raise DocumentError("chain-spec needs a non-empty observables list")
         obs = [_parse_observable(o, tol) for o in obs_docs]
-        convention = doc.get("convention", "left_fold")
-        if not isinstance(convention, str):
-            raise DocumentError(f"convention: expected a fold name, got {convention!r}")
         return ChainSpec(
             observables=obs,
-            length=_integer(doc, "length", len(obs)),
-            convention=convention,
-            seed=_integer(doc, "seed", 0),
+            length=doc.get("length", len(obs)),
+            convention=doc.get("convention", "left_fold"),
+            seed=doc.get("seed", 0),
         )
     # marginal-problem
     axes_doc = doc.get("axes")
     contexts_doc = doc.get("contexts")
     if not isinstance(axes_doc, dict) or not isinstance(contexts_doc, list):
         raise DocumentError("marginal-problem needs axes dict and contexts list")
+    axes = {}
     for name, vals in axes_doc.items():
         if not isinstance(vals, list):
             raise DocumentError(f"axes[{name!r}]: expected a list, got {type(vals).__name__}")
-    axes = {name: [float(v) for v in vals] for name, vals in axes_doc.items()}
+        axes[name] = [_number(v, f"axes[{name!r}][{i}]") for i, v in enumerate(vals)]
     contexts = []
     for k, ctx in enumerate(contexts_doc):
         if not isinstance(ctx, dict):
             raise DocumentError(f"contexts[{k}]: expected an object, got {type(ctx).__name__}")
-        names = tuple(ctx.get("axes", ()))
-        undeclared = [name for name in names if name not in axes]
-        if undeclared:
-            raise DocumentError(f"contexts[{k}]: undeclared axes {undeclared}")
-        table = np.asarray(ctx.get("table"), dtype=float)
-        expected = tuple(len(axes[name]) for name in names)
-        if table.shape != expected:
-            raise DocumentError(
-                f"contexts[{k}]: table shape {table.shape} != {expected}"
-            )
-        dist = JointDistribution(
-            [np.asarray(axes[name]) for name in names], table
-        )
-        contexts.append((names, dist))
+        names = ctx.get("axes", [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise DocumentError(f"contexts[{k}].axes: expected a list of axis names, "
+                                f"got {names!r}")
+        table = np.asarray(_parse_table(ctx.get("table"), f"contexts[{k}].table"))
+        dist = JointDistribution([np.asarray(axes.get(name, ())) for name in names], table)
+        contexts.append((tuple(names), dist))
     return MarginalProblem(axes, contexts)
 
 
@@ -156,8 +161,6 @@ def load_document(path: str, tol: Tolerances = DEFAULT, expect: str | None = Non
         )
     try:
         return _load_kind(doc, tol)
-    except DocumentError:
-        raise
     except ValueError as exc:
         raise DocumentError(f"{path}: {exc}") from exc
 

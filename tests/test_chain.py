@@ -22,6 +22,8 @@ from collapsekit import (
 from collapsekit.chain import sample_distribution
 from collapsekit.collapse_product import (
     JointDistribution,
+    Leaf,
+    Node,
     collapse_effect_tree,
     joint_distribution,
     left_fold_tree,
@@ -69,6 +71,15 @@ class TestChainSpec:
             ChainSpec([], 3)
         with pytest.raises(ValueError):
             ChainSpec([Z], 3, "middle_out")
+
+    @pytest.mark.parametrize("field, value", [
+        ("length", 2.5), ("length", True), ("seed", True), ("seed", 1.0),
+        ("convention", 5), ("convention", Node(Leaf(0), Leaf(1))),
+    ], ids=repr)
+    def test_field_of_the_wrong_type_rejected(self, field, value):
+        fields = {"length": 2, "convention": "left_fold", "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            ChainSpec([Z], **fields)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -804,7 +815,7 @@ class TestExactLeftFoldLaw:
         rng = np.random.default_rng(7)
         observables = [degenerate_observable(rng, 3, f"O{i}", [0, 0, 1]) for i in range(2)]
         rho = random_density(rng, 3)
-        for convention in ("right_fold", "reverse_fold", left_fold_tree(3)):
+        for convention in ("right_fold", "reverse_fold"):
             spec = ChainSpec(observables, 3, convention)
             table = collapse_effect_tree(spec.sequence(), spec.tree())
             np.testing.assert_array_equal(

@@ -513,6 +513,17 @@ class TestMarginalProblemDocuments:
         with pytest.raises(DocumentError, match=r"contexts\[0\]"):
             load_document(path)
 
+    def test_axis_names_not_strings_exit_2(self, tmp_path, capsys):
+        path = self.problem(tmp_path, [{"axes": [["A"]], "table": [0.5, 0.5]}])
+        assert main(["feasible", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: contexts[0].axes:")
+
+    def test_table_shape_off_the_axes_exit_2(self, tmp_path, capsys):
+        path = self.problem(tmp_path, [{"axes": ["A"], "table": [0.25, 0.25, 0.5]}])
+        assert main(["feasible", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: contexts[0]: probabilities of shape (3,)" in err
+
     def test_axis_not_a_list_exit_2(self, tmp_path, capsys):
         path = write(tmp_path / "problem.json", {
             "kind": "marginal-problem", "axes": {"A": 3},
@@ -522,6 +533,46 @@ class TestMarginalProblemDocuments:
         assert "axes['A']" in capsys.readouterr().err
         with pytest.raises(DocumentError, match="expected a list"):
             load_document(path)
+
+
+class TestNumbersInDocuments:
+    # Every numeric document value must be a finite JSON number: bools,
+    # strings, nulls and lists are refused with the path of the entry.
+    @pytest.mark.parametrize("matrix, where", [
+        ([[True, 0], [0, False]], "matrix[0][0]"),
+        ([[["1", 0], 0], [0, 1]], "matrix[0][0][0]"),
+        ([[[None, 0], 0], [0, 1]], "matrix[0][0][0]"),
+        ([[1, [0, "0"]], [0, 1]], "matrix[0][1][1]"),
+        ([[1, 0], [0, 10**400]], "matrix[1][1]"),
+        ([[1, 0], 0], "matrix[1]"),
+        ([[1, 0], [0]], "matrix[1]"),
+    ], ids=["bools", "string-real-part", "null-real-part", "string-imaginary-part",
+            "past-the-float-range", "row-not-a-list", "ragged-rows"])
+    def test_observable_entry_exit_2(self, tmp_path, capsys, matrix, where):
+        path = write(tmp_path / "obs.json", {"kind": "observable", "matrix": matrix})
+        assert main(["decompose", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: {where}:")
+
+    def test_vector_amplitude_refused(self, tmp_path):
+        path = write(tmp_path / "vec.json", {"kind": "vector", "amplitudes": [1, [0, True]]})
+        with pytest.raises(DocumentError, match=r": amplitudes\[1\]\[1\]:"):
+            load_document(path)
+
+    @pytest.mark.parametrize("axis, table, where", [
+        (["0", "1"], ["0.25", "0.75"], "axes['A'][0]"),
+        ([False, True], [0.25, 0.75], "axes['A'][0]"),
+        ([[0], 1], [0.25, 0.75], "axes['A'][0]"),
+        ([0, 1], [0.25, "0.75"], "contexts[0].table[1]"),
+    ], ids=["strings", "bools", "list-value", "string-table-entry"])
+    def test_marginal_problem_entry_exit_2(self, tmp_path, capsys, axis, table, where):
+        path = write(tmp_path / "problem.json", {
+            "kind": "marginal-problem", "axes": {"A": axis},
+            "contexts": [{"axes": ["A"], "table": table}],
+        })
+        assert main(["feasible", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: {where}:")
 
 
 class TestInputErrors:
@@ -564,7 +615,7 @@ class TestChainSpecDocuments:
         argv = ["chain", path, "--state", docs["ket0"], "--runs", "5"]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"error: {field}:")
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: {field}:")
         with pytest.raises(DocumentError, match=field):
             load_document(path)
 

@@ -192,6 +192,16 @@ class TestPrimedObservable:
         for p in a.projectors:
             assert np.trace(p).real == pytest.approx(2.0)
 
+    def test_values_closer_than_any_gap_keep_their_slots(self):
+        # Slots are exact copies of the axis values, so 0 and 1e-13 are two
+        # outcomes of rank 2 each, whose projectors sum to I.
+        dist = JointDistribution([np.array([0.0, 1e-13]), np.array([0.0, 1.0])],
+                                 np.full((2, 2), 0.25))
+        a = primed_observable(build_commutative_model(dist), 0)
+        a.decomposition.check()
+        assert a.decomposition.ranks.tolist() == [2, 2]
+        assert a.sample_space.tolist() == [0.0, 1e-13]
+
     def test_expectation_matches_marginal(self, rng):
         a = observable("A", random_hermitian(rng, 3))
         b = observable("B", random_hermitian(rng, 3))

@@ -206,6 +206,17 @@ class TestAdmitsGlobalJoint:
         with pytest.raises(ValueError):
             admits_global_joint(problem)
 
+    @pytest.mark.parametrize("context, message", [
+        ((("A1", "C"), _pair_dist([[0.25, 0.25], [0.25, 0.25]])), "undeclared axes"),
+        ((("A1",), JointDistribution([np.array(PM)], np.array([0.2, 0.3, 0.5]))),
+         "probabilities of shape"),
+    ], ids=["undeclared-axis", "three-probabilities-over-two-values"])
+    def test_malformed_context_rejected(self, context, message):
+        quarter = _pair_dist([[0.25, 0.25], [0.25, 0.25]])
+        with pytest.raises(ValueError, match=rf"^contexts\[1\]: {message}"):
+            MarginalProblem(axes={"A1": PM, "B1": PM},
+                            contexts=[(("A1", "B1"), quarter), context])
+
     def test_constraint_rows_labels_and_rhs(self, monkeypatch):
         # Contexts of arity 1-3, one with its axes out of problem order,
         # taken from one global joint.
