@@ -3,6 +3,10 @@
 Randomness comes from the counter-based Philox generator keyed by the chain
 seed; run r owns the r-th row of the counter space, so runs are independent
 substreams that can be evaluated in any order with byte-identical results.
+A block of runs draws its uniforms at its own position in the stream
+(`_uniforms_at`), so the samplers run independent blocks on up to one
+thread per usable CPU, and the draws do not depend on how many threads
+there are.
 
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
@@ -63,6 +67,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,11 +111,17 @@ __all__ = [
 CONVENTIONS = tuple(FOLD_TREES)
 
 # Runs per block of the table sampler, and cells per block of the step
-# sampler's draws and of the record writer (run ids and outcomes).  Each
-# block's temporaries take a few hundred kB, so a call's working memory
-# beyond its uniforms and outcomes does not grow with the run count or the
-# chain length.
+# sampler's uniforms and draws and of the record writer (run ids and
+# outcomes).  A block of the table sampler draws its own uniforms from its
+# position in the seed's stream, and independent blocks run on `_workers`
+# threads (`_each_block`).  Each block's temporaries take a few hundred kB,
+# so a call's working memory beyond the arrays it returns is a few hundred
+# kB per thread, whatever the run count or the chain length.
 _BLOCK = 2**15
+# Blocks per thread at the least.  Starting a thread and waking it on
+# another CPU took about 0.3 ms on a 2-CPU machine, as long as one to three
+# blocks, so a second thread pays for itself from about 8 blocks each.
+_BLOCKS_PER_THREAD = 8
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,10 @@ def write_records(outcomes: np.ndarray, stream) -> None:
     """Write `OutcomeRecord.line()` and a newline for every record of
     `records(outcomes)` to the text stream `stream`, without building the
     records: the lines are assembled as ASCII bytes in blocks of at most
-    _BLOCK cells (a run id or an outcome), one `stream.write` per block."""
+    _BLOCK cells (a run id or an outcome), one `stream.write` per block,
+    so the text held at once is one block.  The blocks are built in the
+    caller's thread: one takes about 0.1 ms over some 25 numpy calls, too
+    short for a second thread to pay for its hand-offs."""
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 2 or outcomes.shape[1] < 1 or outcomes.dtype.kind not in "iu":
         raise ValueError("outcomes must be a (runs, n) integer array with n >= 1")
@@ -179,10 +194,11 @@ def write_records(outcomes: np.ndarray, stream) -> None:
     rows = max(1, _BLOCK // (n + 1))
     for lo in range(0, runs, rows):
         block = outcomes[lo:lo + rows]
-        cells = np.empty((len(block), n + 1), dtype=np.int64)
-        cells[:, 0] = np.arange(lo, lo + len(block))
-        cells[:, 1:] = block
-        stream.write(_ascii_lines(cells).decode("ascii"))
+        # Column by column, so that each column is contiguous.
+        cells = np.empty((n + 1, len(block)), dtype=np.int64)
+        cells[0] = np.arange(lo, lo + len(block))
+        cells[1:] = block.T
+        stream.write(_ascii_lines(cells.T).decode("ascii"))
 
 
 def _ascii_lines(cells: np.ndarray) -> bytes:
@@ -190,28 +206,109 @@ def _ascii_lines(cells: np.ndarray) -> bytes:
     the first cell of a row followed by a tab, the last by a newline and
     the others by a comma."""
     c = cells.shape[1]
-    values = cells.ravel()
-    digits = np.ones(values.size, dtype=np.int64)
-    for p in range(1, len(str(values.max()))):
-        digits += values >= 10**p
-    ends = np.cumsum(digits + 1)            # one past each cell's separator
-    text = np.full(ends[-1], ord(","), dtype=np.uint8)
-    text[ends[::c] - 1] = ord("\t")
-    text[ends[c - 1::c] - 1] = ord("\n")
-    # Digits from the last: each pass writes one digit of every cell that
-    # still has one.
-    at, rest = ends - 2, values
-    while at.size:
-        rest, digit = np.divmod(rest, 10)
-        text[at] = digit + ord("0")
-        more = rest > 0
-        at, rest = at[more] - 1, rest[more]
-    return text.tobytes()
+    tops = cells.max(axis=0).tolist()
+    widths = [len(str(top)) for top in tops]
+    # Each column's digits at the column's own width, zero-padded on the
+    # left; `keep` drops the padding of the columns whose width varies.
+    text = np.empty((len(cells), sum(widths) + c), dtype=np.uint8)
+    keep = None
+    at = 0
+    for column, top, width in zip(cells.T, tops, widths):
+        # Digits from the last, in the narrowest type that holds the column:
+        # a floor division by a constant is far cheaper than a remainder.
+        rest = column.astype(np.min_scalar_type(top))
+        for p in range(at + width - 1, at, -1):
+            tens = rest // 10
+            text[:, p] = rest - tens * 10
+            rest = tens
+        text[:, at] = rest
+        if width > 1 and column.min() < 10 ** (width - 1):
+            if keep is None:
+                keep = np.ones(text.shape, dtype=bool)
+            for p in range(width - 1):
+                np.greater_equal(column, 10 ** (width - 1 - p), out=keep[:, at + p])
+        at += width + 1
+    text += ord("0")
+    ends = np.cumsum(widths) + np.arange(c)     # each cell's separator
+    text[:, ends] = ord(",")
+    text[:, ends[0]] = ord("\t")
+    text[:, ends[-1]] = ord("\n")
+    return (text if keep is None else text[keep]).tobytes()
+
+
+def _uniforms_at(seed: int, start: int, out: np.ndarray) -> None:
+    """Fill the 1-d float64 array `out` with the positions [start, start +
+    len(out)) of `Generator(Philox(key=seed)).random`'s stream.  Philox
+    makes four doubles per counter step, so the generator is advanced by
+    start // 4 steps and start % 4 doubles are discarded."""
+    bits = np.random.Philox(key=np.uint64(seed))
+    bits.advance(start // 4)
+    gen = np.random.Generator(bits)
+    gen.random(start % 4)
+    gen.random(out=out)
 
 
 def _uniform_block(seed: int, runs: int, n: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return gen.random((runs, n))
+    """The (runs, n) uniforms of the step sampler: positions [0, runs n) of
+    the seed's stream in C order, so row r drives run r.  They are drawn in
+    one slice per worker, for `_workers` of the array's blocks of _BLOCK
+    cells."""
+    uniforms = np.empty((runs, n))
+    flat = uniforms.reshape(-1)
+    workers = _workers(-(-flat.size // _BLOCK))
+    size = -(-flat.size // workers)
+    _each_block(lambda lo: _uniforms_at(seed, lo, flat[lo:lo + size]),
+                range(0, flat.size, size), workers)
+    return uniforms
+
+
+def _workers(blocks: int) -> int:
+    """The threads that `blocks` independent blocks run on: one per
+    _BLOCKS_PER_THREAD blocks, at most one per usable CPU (the affinity
+    mask where the platform has one), and at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks // _BLOCKS_PER_THREAD))
+
+
+def _each_block(work, starts: range, workers: int) -> None:
+    """work(lo) for every block start lo in `starts`, the blocks being
+    independent, on `workers` threads: the caller's and helpers that start
+    here and are joined before it returns.  Each thread takes the next
+    block that no thread has taken.  The first exception a block raises
+    stops the taking of blocks and is raised to the caller once every
+    helper has stopped."""
+    if workers == 1:
+        for lo in starts:
+            work(lo)
+        return
+    untaken = iter(starts)
+    lock = threading.Lock()
+    failed = []
+
+    def lane():
+        while not failed:
+            with lock:
+                lo = next(untaken, None)
+            if lo is None:
+                return
+            try:
+                work(lo)
+            except BaseException as exc:    # re-raised in the caller's thread
+                failed.append(exc)
+
+    helpers = [threading.Thread(target=lane) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        lane()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[0]
 
 
 def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
@@ -236,7 +333,8 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     outcome.
 
     Returns outcome indices of shape (runs, n).  The uniforms and the
-    outcomes take 16 B per run and step, under `require_table_size`."""
+    outcomes take 16 B per run and step, under `require_table_size`; the
+    uniforms are drawn in slices on `_workers` threads."""
     if spec.convention != "left_fold":
         raise ValueError("step sampling is defined for the left_fold convention")
     if runs < 1:
@@ -492,9 +590,11 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
     a bisection of fixed width, with the same float comparisons as the
     binary search.  Each run's tuple is then gathered whole from a table of
     the K drawable tuples, in the narrowest unsigned type that holds an
-    outcome index, so the table is never larger than the outcomes.  The
-    outcomes and the uniforms take at most 16 B per run and axis, under
-    `require_table_size`.
+    outcome index, so the table is never larger than the outcomes.  Each
+    block draws its own uniforms from its position in the seed's stream,
+    and the blocks run on `_workers` threads (`_each_block`); no uniform
+    array spans the runs.  The outcomes take 8 B per run and axis;
+    `require_table_size` refuses the call at 16 B per run and axis.
 
     Raises ValueError when the table has a non-finite or negative entry or
     does not sum to 1 within DEFAULT.num (`JointDistribution.check`)."""
@@ -505,33 +605,40 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
     dist.check()
     cum = np.cumsum(dist.probabilities.ravel())
     cum[-1] = 1.0
-    uniforms = _uniform_block(seed, runs, 1)[:, 0]
-    outcomes = np.empty((runs, len(shape)), dtype=np.int64)
-    blocks = range(0, runs, _BLOCK)
     narrow = np.min_scalar_type(max(shape) - 1)
     if cum.size > runs:
         # Fewer runs than entries: a guide table would cost more to build
         # than it saves, so each run takes one binary search.  Searching a
         # block's uniforms in sorted order keeps the probes in cache.
-        for lo in blocks:
-            u = uniforms[lo:lo + _BLOCK]
+        def pick(u):
             order = np.argsort(u)
             flat = np.empty(len(u), dtype=np.intp)
             flat[order] = np.searchsorted(cum, u[order], "right")
-            outcomes[lo:lo + _BLOCK] = _unravel(flat, shape, narrow)
-        return outcomes
-    rises = np.empty(cum.size, dtype=bool)
-    rises[0] = cum[0] > 0.0
-    np.greater(cum[1:], cum[:-1], out=rises[1:])
-    drawable = np.flatnonzero(rises)
-    # Each per-entry array is freed once used, to keep the peak memory low.
-    values = cum.take(drawable)
-    del cum
-    rows = np.ascontiguousarray(_unravel(drawable, shape, narrow))
-    del drawable
-    search = _GuideTable(values)
-    for lo in blocks:
-        outcomes[lo:lo + _BLOCK] = rows.take(search(uniforms[lo:lo + _BLOCK]), axis=0)
+            return _unravel(flat, shape, narrow)
+    else:
+        rises = np.empty(cum.size, dtype=bool)
+        rises[0] = cum[0] > 0.0
+        np.greater(cum[1:], cum[:-1], out=rises[1:])
+        drawable = np.flatnonzero(rises)
+        # Each per-entry array is freed once used, to keep the peak memory low.
+        values = cum.take(drawable)
+        del cum
+        rows = np.ascontiguousarray(_unravel(drawable, shape, narrow))
+        del drawable
+        search = _GuideTable(values)
+
+        def pick(u):
+            return rows.take(search(u), axis=0)
+
+    outcomes = np.empty((runs, len(shape)), dtype=np.int64)
+
+    def draw(lo: int) -> None:
+        u = np.empty(min(_BLOCK, runs - lo))
+        _uniforms_at(seed, lo, u)
+        outcomes[lo:lo + len(u)] = pick(u)
+
+    blocks = range(0, runs, _BLOCK)
+    _each_block(draw, blocks, _workers(len(blocks)))
     return outcomes
 
 

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -248,6 +252,13 @@ class TestWriteRecords:
         assert outcomes.max() >= 10
         assert written(outcomes) == oracle(outcomes)
 
+    def test_every_digit_count(self):
+        # Columns of 1 to 19 digits, with widths that vary and widths that do not.
+        values = np.array([10**k for k in range(19)] + [10**k - 1 for k in range(1, 19)] + [0])
+        outcomes = np.stack([values, values[::-1], np.full(len(values), 7)], axis=1)
+        assert written(outcomes) == oracle(outcomes)
+        assert written(np.full((5, 2), 42)) == oracle(np.full((5, 2), 42))
+
     def test_a_row_past_the_block(self):
         outcomes = np.random.default_rng(1).integers(0, 123, size=(3, BLOCK + 5))
         assert written(outcomes) == oracle(outcomes)
@@ -329,8 +340,11 @@ EDGE_CASES = {
 
 
 def count_guide_tables(monkeypatch) -> list:
-    """Record [K, calls] for each guide table `sample_distribution` builds."""
+    """Record [K, calls] for each guide table `sample_distribution` builds.
+    Blocks call the table from several threads, so each count is taken
+    under a lock."""
     built = []
+    lock = threading.Lock()
 
     class Counting(chain._GuideTable):
         def __init__(self, values):
@@ -338,11 +352,20 @@ def count_guide_tables(monkeypatch) -> list:
             built.append([len(values), 0])
 
         def __call__(self, u):
-            built[-1][1] += 1
+            with lock:
+                built[-1][1] += 1
             return super().__call__(u)
 
     monkeypatch.setattr(chain, "_GuideTable", Counting)
     return built
+
+
+def feed_uniforms(monkeypatch, u: np.ndarray) -> None:
+    """Make the stream position p of every seed read u[p]."""
+    def uniforms_at(seed, start, out):
+        out[...] = u[start:start + len(out)]
+
+    monkeypatch.setattr(chain, "_uniforms_at", uniforms_at)
 
 
 class TestSampleDistribution:
@@ -365,7 +388,7 @@ class TestSampleDistribution:
         cum = np.cumsum(dist.probabilities.ravel())
         u = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0]])
         u = u[u < 1.0]
-        monkeypatch.setattr(chain, "_uniform_block", lambda seed, runs, n: u[:, None])
+        feed_uniforms(monkeypatch, u)
         np.testing.assert_array_equal(sample_distribution(dist, 0, len(u)),
                                       reference_draws(dist, u))
 
@@ -390,7 +413,7 @@ class TestSampleDistribution:
         u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]
         u = np.concatenate([u, np.zeros(dist.probabilities.size)])    # runs >= entries
-        monkeypatch.setattr(chain, "_uniform_block", lambda seed, runs, n: u[:, None])
+        feed_uniforms(monkeypatch, u)
         guides = count_guide_tables(monkeypatch)
         np.testing.assert_array_equal(sample_distribution(dist, 0, len(u)),
                                       reference_draws(dist, u))
@@ -426,6 +449,104 @@ class TestSampleDistribution:
     def test_invalid_tables_refused(self, probabilities, message, runs):
         with pytest.raises(ValueError, match=message):
             sample_distribution(unscaled(probabilities), 3, runs)
+
+
+def draws_by_thread_count(monkeypatch, draw) -> list:
+    """draw() with the worker count forced to 1, left at the default, and
+    forced to 3 (more threads than blocks or CPUs where that holds)."""
+    outputs = []
+    for workers in (1, None, 3):
+        with monkeypatch.context() as patch:
+            if workers is not None:
+                patch.setattr(chain, "_workers", lambda blocks, w=workers: min(w, max(1, blocks)))
+            outputs.append(draw())
+    return outputs
+
+
+class TestBlocksAndThreads:
+    @pytest.mark.parametrize("seed", [0, 23, 2**64 - 1])
+    @pytest.mark.parametrize("start", [*range(8), BLOCK - 3, BLOCK, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("length", [0, 1, 5, BLOCK + 7])
+    def test_uniforms_at_any_stream_position(self, seed, start, length):
+        stream = philox_uniforms(seed, start + length, 1)[:, 0]
+        out = np.empty(length)
+        chain._uniforms_at(seed, start, out)
+        np.testing.assert_array_equal(out, stream[start:])
+
+    @pytest.mark.parametrize("runs, n", [(1, 1), (BLOCK + 1, 1), (7, BLOCK // 3), (9000, 11)])
+    def test_uniform_block_is_the_stream_in_c_order(self, runs, n, monkeypatch):
+        for uniforms in draws_by_thread_count(monkeypatch, lambda: chain._uniform_block(5, runs, n)):
+            np.testing.assert_array_equal(uniforms, philox_uniforms(5, runs, n))
+
+    # A guide table at every run count, and a binary search at every one.
+    @pytest.mark.parametrize("shape", [(3, 4), (64, 64, 32)])
+    @pytest.mark.parametrize("runs", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_table_draws_do_not_depend_on_the_threads(self, shape, runs, monkeypatch):
+        dist = table(plateaus(shape, 2))
+        drawn = draws_by_thread_count(monkeypatch, lambda: sample_distribution(dist, 41, runs))
+        for other in drawn:
+            assert other.tobytes() == drawn[0].tobytes()
+        np.testing.assert_array_equal(
+            drawn[0], reference_draws(dist, philox_uniforms(41, runs, 1)[:, 0]))
+
+    def test_step_draws_and_records_do_not_depend_on_the_threads(self, monkeypatch):
+        spec = ChainSpec([Z, X, observable("A", np.array([[0.6, 0.8], [0.8, -0.6]]))], 7, seed=3)
+        runs = BLOCK // 2 + 11          # a (runs, 7) uniform array of four blocks
+
+        def records_text():
+            stream = io.StringIO()
+            write_records(sample_chain_leftfold(spec, MIXED, runs), stream)
+            return stream.getvalue()
+
+        texts = draws_by_thread_count(monkeypatch, records_text)
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0] == "".join(oracle(sample_chain_leftfold(spec, MIXED, runs)))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_exception_in_a_block_reaches_the_caller(self, workers):
+        def work(lo):
+            if lo == 5:
+                raise ZeroDivisionError("block 5")
+
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="block 5"):
+            chain._each_block(work, range(64), workers)
+        assert threading.active_count() == before
+
+    def test_every_block_runs_once_under_frequent_switches(self):
+        # More threads than CPUs, switching as often as the interpreter
+        # allows: a block taken twice or skipped would show in `ran`.
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            chain._each_block(ran.append, range(0, 6000, 3), 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(0, 6000, 3))
+
+    @pytest.mark.parametrize("blocks, cpus, workers", [
+        (0, 2, 1), (7, 2, 1), (15, 2, 1), (16, 2, 2), (31, 2, 2), (31, 4, 3), (1000, 1, 1)])
+    def test_one_thread_per_eight_blocks_up_to_one_per_cpu(self, blocks, cpus, workers,
+                                                           monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert chain._workers(blocks) == workers
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(chain, "_workers", lambda blocks: min(3, max(1, blocks)))
+        before = threading.active_count()
+        dist = table(plateaus((4, 5), 1))
+        sample_distribution(dist, 1, 3 * BLOCK)
+        sample_chain_leftfold(ChainSpec([Z, X], 5, seed=1), MIXED, BLOCK)
+        assert threading.active_count() == before
+
+    def test_no_thread_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chain.__file__)))
+        code = "import threading, collapsekit; print(threading.active_count())"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
 
 class TestEmpiricalDistribution:

@@ -279,6 +279,16 @@ class TestBracketings:
             assert len(trees) == count == catalan(n)
             assert len(set(map(str, trees))) == count
 
+    def test_catalan_counts_through_the_largest_n(self):
+        # 12 is the largest n the enumeration admits: 58,786 distinct trees,
+        # each over the leaves 0..n-1 in order.
+        expected = [429, 1430, 4862, 16796, 58786]
+        for n, count in enumerate(expected, start=8):
+            trees = enumerate_bracketings(n)
+            assert len(trees) == count == catalan(n)
+            assert len(set(map(str, trees))) == count
+            assert all(tree.leaves == tuple(range(n)) for tree in trees)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_bracketings(0)
