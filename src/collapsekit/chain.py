@@ -4,9 +4,9 @@ Randomness comes from the counter-based Philox generator keyed by the chain
 seed; run r owns the r-th row of the counter space, so runs are independent
 substreams that can be evaluated in any order with byte-identical results.
 A block of runs draws its uniforms at its own position in the stream
-(`_uniforms_at`), so the samplers run independent blocks on up to one
-thread per usable CPU, and the draws do not depend on how many threads
-there are.
+(`_uniforms_at`), so the table sampler runs independent blocks on up to
+one thread per usable CPU, and the draws do not depend on how many
+threads there are.
 
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,11 +111,11 @@ __all__ = [
 CONVENTIONS = tuple(FOLD_TREES)
 
 # Runs per block of the table sampler, and cells per block of the step
-# sampler's uniforms and draws and of the record writer (run ids and
-# outcomes).  A block of the table sampler draws its own uniforms from its
-# position in the seed's stream, and independent blocks run on `_workers`
-# threads (`_each_block`).  Each block's temporaries take a few hundred kB,
-# so a call's working memory beyond the arrays it returns is a few hundred
+# sampler's draws and of the record writer (run ids and outcomes).  A block
+# of the table sampler draws its own uniforms from its position in the
+# seed's stream, and independent blocks run on `_workers` threads
+# (`_each_block`).  Each block's temporaries take a few hundred kB, so a
+# call's working memory beyond its uniforms and outcomes is a few hundred
 # kB per thread, whatever the run count or the chain length.
 _BLOCK = 2**15
 # Blocks per thread at the least.  Starting a thread and waking it on
@@ -249,17 +249,8 @@ def _uniforms_at(seed: int, start: int, out: np.ndarray) -> None:
 
 
 def _uniform_block(seed: int, runs: int, n: int) -> np.ndarray:
-    """The (runs, n) uniforms of the step sampler: positions [0, runs n) of
-    the seed's stream in C order, so row r drives run r.  They are drawn in
-    one slice per worker, for `_workers` of the array's blocks of _BLOCK
-    cells."""
-    uniforms = np.empty((runs, n))
-    flat = uniforms.reshape(-1)
-    workers = _workers(-(-flat.size // _BLOCK))
-    size = -(-flat.size // workers)
-    _each_block(lambda lo: _uniforms_at(seed, lo, flat[lo:lo + size]),
-                range(0, flat.size, size), workers)
-    return uniforms
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return gen.random((runs, n))
 
 
 def _workers(blocks: int) -> int:
@@ -276,39 +267,21 @@ def _workers(blocks: int) -> int:
 def _each_block(work, starts: range, workers: int) -> None:
     """work(lo) for every block start lo in `starts`, the blocks being
     independent, on `workers` threads: the caller's and helpers that start
-    here and are joined before it returns.  Each thread takes the next
-    block that no thread has taken.  The first exception a block raises
-    stops the taking of blocks and is raised to the caller once every
-    helper has stopped."""
-    if workers == 1:
-        for lo in starts:
+    here and are joined before it returns.  Thread k takes every
+    workers-th block from the k-th.  An exception a block raises is
+    raised to the caller once every thread has stopped."""
+    def lane(k: int) -> None:
+        for lo in starts[k::workers]:
             work(lo)
+
+    if workers == 1:
+        lane(0)
         return
-    untaken = iter(starts)
-    lock = threading.Lock()
-    failed = []
-
-    def lane():
-        while not failed:
-            with lock:
-                lo = next(untaken, None)
-            if lo is None:
-                return
-            try:
-                work(lo)
-            except BaseException as exc:    # re-raised in the caller's thread
-                failed.append(exc)
-
-    helpers = [threading.Thread(target=lane) for _ in range(workers - 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(lane, k) for k in range(1, workers)]
+        lane(0)
     for helper in helpers:
-        helper.start()
-    try:
-        lane()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failed:
-        raise failed[0]
+        helper.result()
 
 
 def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
@@ -333,8 +306,7 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     outcome.
 
     Returns outcome indices of shape (runs, n).  The uniforms and the
-    outcomes take 16 B per run and step, under `require_table_size`; the
-    uniforms are drawn in slices on `_workers` threads."""
+    outcomes take 16 B per run and step, under `require_table_size`."""
     if spec.convention != "left_fold":
         raise ValueError("step sampling is defined for the left_fold convention")
     if runs < 1:

@@ -473,11 +473,6 @@ class TestBlocksAndThreads:
         chain._uniforms_at(seed, start, out)
         np.testing.assert_array_equal(out, stream[start:])
 
-    @pytest.mark.parametrize("runs, n", [(1, 1), (BLOCK + 1, 1), (7, BLOCK // 3), (9000, 11)])
-    def test_uniform_block_is_the_stream_in_c_order(self, runs, n, monkeypatch):
-        for uniforms in draws_by_thread_count(monkeypatch, lambda: chain._uniform_block(5, runs, n)):
-            np.testing.assert_array_equal(uniforms, philox_uniforms(5, runs, n))
-
     # A guide table at every run count, and a binary search at every one.
     @pytest.mark.parametrize("shape", [(3, 4), (64, 64, 32)])
     @pytest.mark.parametrize("runs", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
@@ -489,41 +484,24 @@ class TestBlocksAndThreads:
         np.testing.assert_array_equal(
             drawn[0], reference_draws(dist, philox_uniforms(41, runs, 1)[:, 0]))
 
-    def test_step_draws_and_records_do_not_depend_on_the_threads(self, monkeypatch):
-        spec = ChainSpec([Z, X, observable("A", np.array([[0.6, 0.8], [0.8, -0.6]]))], 7, seed=3)
-        runs = BLOCK // 2 + 11          # a (runs, 7) uniform array of four blocks
-
-        def records_text():
-            stream = io.StringIO()
-            write_records(sample_chain_leftfold(spec, MIXED, runs), stream)
-            return stream.getvalue()
-
-        texts = draws_by_thread_count(monkeypatch, records_text)
-        assert texts[0] == texts[1] == texts[2]
-        assert texts[0] == "".join(oracle(sample_chain_leftfold(spec, MIXED, runs)))
-
+    # With 3 workers, block 0 is the caller's and block 5 a helper's.
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_an_exception_in_a_block_reaches_the_caller(self, workers):
+    @pytest.mark.parametrize("bad", [0, 5])
+    def test_an_exception_in_a_block_reaches_the_caller(self, workers, bad):
         def work(lo):
-            if lo == 5:
-                raise ZeroDivisionError("block 5")
+            if lo == bad:
+                raise ZeroDivisionError(f"block {bad}")
 
         before = threading.active_count()
-        with pytest.raises(ZeroDivisionError, match="block 5"):
+        with pytest.raises(ZeroDivisionError, match=f"block {bad}"):
             chain._each_block(work, range(64), workers)
         assert threading.active_count() == before
 
-    def test_every_block_runs_once_under_frequent_switches(self):
-        # More threads than CPUs, switching as often as the interpreter
-        # allows: a block taken twice or skipped would show in `ran`.
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_block_runs_once(self, workers):
         ran = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            chain._each_block(ran.append, range(0, 6000, 3), 4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(ran) == list(range(0, 6000, 3))
+        chain._each_block(ran.append, range(0, 6001, 3), workers)
+        assert sorted(ran) == list(range(0, 6001, 3))
 
     @pytest.mark.parametrize("blocks, cpus, workers", [
         (0, 2, 1), (7, 2, 1), (15, 2, 1), (16, 2, 2), (31, 2, 2), (31, 4, 3), (1000, 1, 1)])
@@ -537,7 +515,6 @@ class TestBlocksAndThreads:
         before = threading.active_count()
         dist = table(plateaus((4, 5), 1))
         sample_distribution(dist, 1, 3 * BLOCK)
-        sample_chain_leftfold(ChainSpec([Z, X], 5, seed=1), MIXED, BLOCK)
         assert threading.active_count() == before
 
     def test_no_thread_at_import(self):
