@@ -253,6 +253,16 @@ def _uniform_block(seed: int, runs: int, n: int) -> np.ndarray:
     return gen.random((runs, n))
 
 
+def _index_type(largest: int) -> np.dtype:
+    """The type of both samplers' outcomes: the narrowest signed integer
+    type that holds the outcome indices 0 .. `largest`, int8 up to 127,
+    int16 up to 32767, then int32.  Signed, as numpy's own indices are: an
+    unsigned type widens when mixed with them (int8 with uint8 makes
+    int16).  Widen (`astype(np.int64)`) before arithmetic whose result can
+    pass the type."""
+    return np.min_scalar_type(-1 - largest)
+
+
 def _workers(blocks: int) -> int:
     """The threads that `blocks` independent blocks run on: one per
     _BLOCKS_PER_THREAD blocks, at most one per usable CPU (the affinity
@@ -305,8 +315,10 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     own scale) raises `ZeroProbabilityOutcomeError` instead of forcing an
     outcome.
 
-    Returns outcome indices of shape (runs, n).  The uniforms and the
-    outcomes take 16 B per run and step, under `require_table_size`."""
+    Returns outcome indices of shape (runs, n) in `_index_type` of the
+    largest outcome index of the cycle.  The uniforms take 8 B per run and
+    step and the outcomes 1 B below 129 outcomes; `require_table_size`
+    refuses the call at 16 B per run and step."""
     if spec.convention != "left_fold":
         raise ValueError("step sampling is defined for the left_fold convention")
     if runs < 1:
@@ -349,13 +361,12 @@ def _cdf(roots, states, projs, tol: Tolerances) -> np.ndarray:
 def _count(inner, group, uniforms, out) -> None:
     """Inverse-CDF draws: out[r, k] is the number of interior boundaries
     inner[group[r]] at or below uniforms[r, k], for aligned (runs, steps)
-    views `uniforms` and `out`.
+    views `uniforms` and `out`, counted in out's type.
 
     The runs gather their boundaries, and compare them with their uniforms,
     in blocks of at most _BLOCK cells."""
     runs, cols = uniforms.shape
     inner = np.ascontiguousarray(inner.T)
-    count = np.min_scalar_type(len(inner))      # holds m - 1
     width = min(cols, _BLOCK)
     rows = max(1, _BLOCK // width)
     for lo in range(0, runs, rows):
@@ -363,7 +374,7 @@ def _count(inner, group, uniforms, out) -> None:
         for at in range(0, cols, width):
             # Steps by runs, so each comparison is one pass over the runs.
             u = np.ascontiguousarray(uniforms[lo:lo + rows, at:at + width].T)
-            out[lo:lo + rows, at:at + width].T[...] = (bounds <= u).sum(axis=0, dtype=count)
+            out[lo:lo + rows, at:at + width].T[...] = (bounds <= u).sum(axis=0, dtype=out.dtype)
 
 
 def _regroup(group, idx, branches, n_outcomes):
@@ -437,10 +448,12 @@ def _leftfold_draws(cycle: list, density: np.ndarray, uniforms: np.ndarray,
     `uniforms` drives run r by inverse CDF over the outcomes in order.
     Once no root branches, the roots, states, frames and groups are fixed,
     so all later steps at one position of the cycle draw from one CDF table
-    in one pass."""
+    in one pass.  Returns the (runs, n) outcomes in `_index_type` of the
+    cycle's largest outcome index: 1 B per cell below 129 outcomes, next to
+    the uniforms' 8 B."""
     runs, n = uniforms.shape
     c = len(cycle)
-    outcomes = np.empty((runs, n), dtype=np.int64)
+    outcomes = np.empty((runs, n), dtype=_index_type(max(len(s.ranks) for s in cycle) - 1))
     first = cycle[0]
     group = np.broadcast_to(np.int64(0), (runs,))     # one group for every run
     eye = np.eye(len(density), dtype=np.complex128)
@@ -543,7 +556,8 @@ def exact_chain_distribution(spec: ChainSpec, rho0: AlgebraicState,
 def sample_chain_tree(spec: ChainSpec, rho0: AlgebraicState, runs: int,
                       tol: Tolerances = DEFAULT) -> np.ndarray:
     """Sample outcome tuples directly from the bracketing's exact joint
-    distribution (one uniform per run from the run's substream)."""
+    distribution (one uniform per run from the run's substream), in the
+    type `sample_distribution` returns."""
     return sample_distribution(exact_chain_distribution(spec, rho0, tol),
                                spec.seed, runs)
 
@@ -561,11 +575,13 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
     searched by guide table (`_GuideTable`): per run one indexed lookup and
     a bisection of fixed width, with the same float comparisons as the
     binary search.  Each run's tuple is then gathered whole from a table of
-    the K drawable tuples, in the narrowest unsigned type that holds an
-    outcome index, so the table is never larger than the outcomes.  Each
-    block draws its own uniforms from its position in the seed's stream,
-    and the blocks run on `_workers` threads (`_each_block`); no uniform
-    array spans the runs.  The outcomes take 8 B per run and axis;
+    the K drawable tuples in the outcomes' type, so the table is never
+    larger than the outcomes.  Each block draws its own uniforms from its
+    position in the seed's stream, and the blocks run on `_workers` threads
+    (`_each_block`); no uniform array spans the runs.
+
+    Returns outcome indices of shape (runs, axes) in `_index_type` of the
+    largest index, 1 B per run and axis below 129 outcomes per axis;
     `require_table_size` refuses the call at 16 B per run and axis.
 
     Raises ValueError when the table has a non-finite or negative entry or
@@ -577,7 +593,7 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
     dist.check()
     cum = np.cumsum(dist.probabilities.ravel())
     cum[-1] = 1.0
-    narrow = np.min_scalar_type(max(shape) - 1)
+    index = _index_type(max(shape) - 1)
     if cum.size > runs:
         # Fewer runs than entries: a guide table would cost more to build
         # than it saves, so each run takes one binary search.  Searching a
@@ -586,7 +602,7 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
             order = np.argsort(u)
             flat = np.empty(len(u), dtype=np.intp)
             flat[order] = np.searchsorted(cum, u[order], "right")
-            return _unravel(flat, shape, narrow)
+            return _unravel(flat, shape, index)
     else:
         rises = np.empty(cum.size, dtype=bool)
         rises[0] = cum[0] > 0.0
@@ -595,14 +611,14 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
         # Each per-entry array is freed once used, to keep the peak memory low.
         values = cum.take(drawable)
         del cum
-        rows = np.ascontiguousarray(_unravel(drawable, shape, narrow))
+        rows = np.ascontiguousarray(_unravel(drawable, shape, index))
         del drawable
         search = _GuideTable(values)
 
         def pick(u):
             return rows.take(search(u), axis=0)
 
-    outcomes = np.empty((runs, len(shape)), dtype=np.int64)
+    outcomes = np.empty((runs, len(shape)), dtype=index)
 
     def draw(lo: int) -> None:
         u = np.empty(min(_BLOCK, runs - lo))
@@ -653,8 +669,10 @@ class _GuideTable:
 
 def _unravel(flat: np.ndarray, shape: tuple, dtype) -> np.ndarray:
     """The outcome tuples (len(flat), len(shape)) of C-order flat indices
-    into a table of `shape`, in `dtype`.  They are computed axis by axis
-    into contiguous rows and returned as the transpose of those rows."""
+    into a table of `shape`, in `dtype` (`_index_type`, so len(shape)
+    bytes per tuple below 129 outcomes per axis).  They are computed axis
+    by axis into contiguous rows and returned as the transpose of those
+    rows."""
     axes = np.empty((len(shape), len(flat)), dtype=dtype)
     rest = flat
     for axis in range(len(shape) - 1, 0, -1):

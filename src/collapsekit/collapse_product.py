@@ -95,8 +95,9 @@ __all__ = [
 # 0.12 s and 0.18-0.19 s with +288, +208 and +208 MiB peak RSS; the
 # 4**8-tuple folds of a four-outcome d = 8 chain (64 MiB) in 0.07-0.19 s with
 # +81 to +103 MiB.  Peak RSS stays within 2.3 times the table.  The
-# benchmarks' largest sampler call, 10**6 runs of 8 steps at 16 B each, needs
-# 122 MiB.
+# benchmarks' largest sampler call, 10**6 runs of 8 steps, is charged 122 MiB
+# at 16 B per run and step; its int8 outcomes take 7.6 MiB, and the call
+# peaks at 9.7 MiB under tracemalloc on 2 threads.
 MAX_TABLE_BYTES = 2**27
 
 

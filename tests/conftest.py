@@ -48,6 +48,15 @@ def rng():
     return np.random.default_rng(20260824)
 
 
+def fourier_pair(d: int) -> list:
+    """Two non-degenerate d-outcome observables in mutually unbiased bases,
+    so that every outcome tuple of a chain cycling them has mass."""
+    k = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    labels = np.diag(np.arange(float(d)))
+    return [observable("N", labels), observable("F", fourier @ labels @ fourier.conj().T)]
+
+
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

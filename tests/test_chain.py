@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +46,7 @@ from conftest import (
     assert_same_draws,
     degenerate_observable,
     direction_observable,
+    fourier_pair,
     philox_uniforms,
     random_density,
     random_unitary,
@@ -277,6 +279,15 @@ class TestWriteRecords:
             write_records(outcomes, io.StringIO())
 
 
+def narrowest(outcomes: int) -> np.dtype:
+    """The samplers' outcome type for a widest axis of `outcomes` outcomes."""
+    if outcomes <= 2**7:
+        return np.dtype(np.int8)
+    if outcomes <= 2**15:
+        return np.dtype(np.int16)
+    return np.dtype(np.int32)
+
+
 def reference_draws(dist, u):
     """The flat inverse-CDF draws of uniforms u by binary search, unravelled."""
     cum = np.cumsum(dist.probabilities.ravel())
@@ -375,7 +386,7 @@ class TestSampleDistribution:
     def test_equals_the_flat_binary_search(self, shape, runs):
         dist = table(plateaus(shape, sum(shape)))
         drawn = sample_distribution(dist, 23, runs)
-        assert drawn.dtype == np.int64 and drawn.flags.c_contiguous
+        assert drawn.dtype == narrowest(max(shape)) and drawn.flags.c_contiguous
         assert drawn.shape == (runs, len(shape))
         np.testing.assert_array_equal(
             drawn, reference_draws(dist, philox_uniforms(23, runs, 1)[:, 0]))
@@ -524,6 +535,107 @@ class TestBlocksAndThreads:
                               timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+
+def rank_two_halves(rng, name):
+    """A d = 4 observable with two rank-2 outcomes in a random basis."""
+    u = random_unitary(rng, 4)
+    return observable(name, (u * np.array([0.0, 0.0, 1.0, 1.0])) @ u.conj().T)
+
+
+class TestOutcomeType:
+    """Both samplers return the narrowest signed integer type that holds
+    the largest outcome index, and what reads their outcomes gives what
+    it gives on the same outcomes widened to int64."""
+
+    # Every table's last C-order entry, the largest index on every axis,
+    # carries half the mass; 100 runs take a binary search, 40000 a guide
+    # table.
+    @pytest.mark.parametrize("shape", [(128,), (2, 128), (129,), (129, 3),
+                                       (32768,), (32769,)])
+    @pytest.mark.parametrize("runs", [100, 40000])
+    def test_table_sampler_at_the_type_boundaries(self, shape, runs):
+        p = np.ones(shape)
+        p.reshape(-1)[-1] = p.size
+        dist = table(p)
+        drawn = sample_distribution(dist, 3, runs)
+        assert drawn.dtype == narrowest(max(shape))
+        assert drawn.max() == max(shape) - 1
+        np.testing.assert_array_equal(
+            drawn, reference_draws(dist, philox_uniforms(3, runs, 1)[:, 0]))
+
+    @pytest.mark.parametrize("d", [128, 129])
+    def test_step_sampler_at_the_type_boundaries(self, d):
+        # On the maximally mixed state a diagonal observable's outcomes are
+        # uniform, and measured again it repeats its outcome.
+        runs = 4000
+        spec = ChainSpec([observable("N", np.diag(np.arange(float(d))))], 2, seed=9)
+        drawn = sample_chain_leftfold(spec, AlgebraicState.maximally_mixed(d), runs)
+        assert drawn.dtype == narrowest(d)
+        p = np.full(d, 1.0 / d)
+        inner = np.cumsum(p / p.sum())[:-1]
+        first = np.searchsorted(inner, philox_uniforms(9, runs, 2)[:, 0], "right")
+        np.testing.assert_array_equal(drawn, np.stack([first, first], axis=1))
+        assert drawn.max() == d - 1
+
+    def test_empirical_distribution_past_the_type(self):
+        # Four steps of four outcomes: flat indices up to 255.
+        spec = ChainSpec(fourier_pair(4), 4, seed=2)
+        outcomes = sample_chain_leftfold(spec, AlgebraicState.maximally_mixed(4), 20000)
+        assert outcomes.dtype == np.int8
+        flat = np.ravel_multi_index(tuple(outcomes.T.astype(np.int64)), (4,) * 4)
+        assert flat.max() == 255
+        np.testing.assert_array_equal(
+            empirical_distribution(outcomes, spec).probabilities,
+            empirical_distribution(outcomes.astype(np.int64), spec).probabilities)
+
+    def test_records_past_the_type(self):
+        # Run ids past 2**15 beside one-byte outcomes.
+        spec = ChainSpec(fourier_pair(4), 3, seed=4)
+        outcomes = sample_chain_leftfold(spec, AlgebraicState.maximally_mixed(4),
+                                         2**15 + 300)
+        assert outcomes.dtype == np.int8
+        assert written(outcomes) == written(outcomes.astype(np.int64))
+        assert written(outcomes)[-1] == oracle(outcomes)[-1]
+
+    def test_regroup_keys_past_the_type(self, monkeypatch):
+        # Rank-2 outcomes in d = 4 keep every prefix branching: 2**9 groups
+        # by the last step, so the keys group * 2 + outcome reach 1023.
+        rng = np.random.default_rng(5)
+        spec = ChainSpec([rank_two_halves(rng, f"H{k}") for k in range(10)], 10, seed=6)
+        rho = random_density(rng, 4)
+        keys = []
+        regroup = chain._regroup
+
+        def widened(group, idx, branches, n_outcomes):
+            got = regroup(group, idx, branches, n_outcomes)
+            wide = regroup(group, idx.astype(np.int64), branches, n_outcomes)
+            for a, b in zip(got, wide):
+                np.testing.assert_array_equal(a, b)
+            keys.append(int((group * n_outcomes + idx.astype(np.int64)).max()))
+            return got
+
+        monkeypatch.setattr(chain, "_regroup", widened)
+        runs = 3000
+        outcomes = sample_chain_leftfold(spec, rho, runs)
+        assert outcomes.dtype == np.int8 and max(keys) > 127
+        stacks = [np.stack(obs.projectors) for obs in spec.sequence()]
+        reference, margin = reference_leftfold(
+            stacks, rho.density, philox_uniforms(spec.seed, runs, spec.length))
+        assert_same_draws(outcomes, reference, margin)
+
+    def test_table_sampler_memory(self):
+        # The chain workload's c3 shape at 2**20 runs: 32 blocks, so at most
+        # four threads, each with under 1 MiB of temporaries.
+        dist = unscaled(EDGE_CASES["c3_like"])
+        tracemalloc.start()
+        try:
+            drawn = sample_distribution(dist, 5, 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn.nbytes == 2**20 * 8
+        assert peak <= drawn.nbytes + 4 * 2**20
 
 
 class TestEmpiricalDistribution:

@@ -16,7 +16,7 @@ from collapsekit.config import Tolerances
 from collapsekit.io import DocumentError, dump_document, load_document
 from collapsekit.measurement import AlgebraicState, observable
 
-from conftest import PAULI_Z, degenerate_observable, random_unitary
+from conftest import PAULI_Z, degenerate_observable, fourier_pair, random_unitary
 
 
 def write(path, doc):
@@ -420,6 +420,45 @@ class TestChain:
         assert sum(float(r["empirical"]) for r in rows) == pytest.approx(1.0)
         assert main(["chain", long_chain, "--state", docs["ket0"],
                      "--mechanism", "table"]) == 2
+
+
+class TestChainRowsOfNarrowOutcomes:
+    """`collapsekit chain` prints the same rows from its samplers' one-byte
+    outcomes as from the same outcomes widened to int64."""
+
+    @pytest.mark.parametrize("length, mechanism", [
+        (4, "step"), (4, "table"),   # exact rows over 256 tuples
+        (14, "step"),                # past the size guard: np.unique's rows
+    ])
+    def test_rows_as_from_int64_outcomes(self, docs, capsys, monkeypatch, length, mechanism):
+        spec = write(docs["tmp"] / "fourier.json", {
+            "kind": "chain-spec", "length": length, "seed": 8,
+            "observables": [json.loads(dump_document(o)) for o in fourier_pair(4)]})
+        state = docs["tmp"] / "mixed4.json"
+        state.write_text(dump_document(AlgebraicState.maximally_mixed(4)))
+        argv = ["--format=json", "chain", spec, "--state", str(state),
+                "--runs", "3000", "--mechanism", mechanism]
+        sampler = {"step": "sample_chain_leftfold", "table": "sample_distribution"}[mechanism]
+        sample = getattr(chain_mod, sampler)
+        dtypes = []
+
+        def recorded(*args):
+            outcomes = sample(*args)
+            dtypes.append(outcomes.dtype)
+            return outcomes
+
+        monkeypatch.setattr(chain_mod, sampler, recorded)
+        assert main(argv) == 0
+        narrow = json.loads(capsys.readouterr().out)["rows"]
+        monkeypatch.setattr(chain_mod, sampler, lambda *args: sample(*args).astype(np.int64))
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == narrow
+        assert dtypes == [np.int8]
+        exact = [r["exact"] for r in narrow]
+        if length == 4:
+            assert len(narrow) == 256 and None not in exact
+        else:
+            assert set(exact) == {None} and len(narrow) > 256
 
 
 class TestBrackets:
