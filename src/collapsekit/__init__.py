@@ -9,11 +9,9 @@ reproducible chain sampling.
 
 from .chain import (
     ChainSpec,
-    OutcomeRecord,
     compare_conventions,
     empirical_distribution,
     exact_chain_distribution,
-    records,
     sample_chain_leftfold,
     sample_chain_tree,
     write_records,

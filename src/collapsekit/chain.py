@@ -3,10 +3,12 @@
 Randomness comes from the counter-based Philox generator keyed by the chain
 seed; run r owns the r-th row of the counter space, so runs are independent
 substreams that can be evaluated in any order with byte-identical results.
-A block of runs draws its uniforms at its own position in the stream
-(`_uniforms_at`), so the table sampler runs independent blocks on up to
-one thread per usable CPU, and the draws do not depend on how many
-threads there are.
+`_uniforms_at` reads any stretch of that stream: the step sampler reads
+its (runs, n) uniforms from position 0, and a block of the table sampler
+reads its own, so the table sampler runs independent blocks on up to one
+thread per usable CPU, and the draws do not depend on how many threads
+there are.  `write_records` writes sampled outcomes as text, one line
+`run_id<TAB>i1,...,in` per run.
 
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
@@ -95,7 +97,6 @@ from .operator_core import DimensionMismatchError, SpectralDecomposition, batche
 
 __all__ = [
     "ChainSpec",
-    "OutcomeRecord",
     "TableTooLargeError",
     "sample_chain_leftfold",
     "sample_chain_tree",
@@ -104,7 +105,6 @@ __all__ = [
     "empirical_distribution",
     "compare_conventions",
     "ConventionComparison",
-    "records",
     "write_records",
 ]
 
@@ -162,78 +162,71 @@ class ChainSpec:
         return FOLD_TREES[self.convention](self.length)
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    run_id: int
-    outcomes: tuple
-
-    def line(self) -> str:
-        return f"{self.run_id}\t" + ",".join(str(i) for i in self.outcomes)
-
-
-def records(outcomes: np.ndarray):
-    """View a (runs, n) outcome-index array as OutcomeRecord objects."""
-    for r, row in enumerate(outcomes.tolist()):
-        yield OutcomeRecord(r, tuple(row))
-
-
 def write_records(outcomes: np.ndarray, stream) -> None:
-    """Write `OutcomeRecord.line()` and a newline for every record of
-    `records(outcomes)` to the text stream `stream`, without building the
-    records: the lines are assembled as ASCII bytes in blocks of at most
-    _BLOCK cells (a run id or an outcome), one `stream.write` per block,
-    so the text held at once is one block.  The blocks are built in the
-    caller's thread: one takes about 0.1 ms over some 25 numpy calls, too
-    short for a second thread to pay for its hand-offs."""
+    """Write one line per run of the (runs, n) outcome-index array
+    `outcomes` to the text stream `stream`: the run's row index r, a tab,
+    its n outcome indices in decimal separated by commas, and a newline,
+    as f"{r}\t" + ",".join(map(str, row)) + "\n" writes it.
+
+    The lines are assembled as ASCII bytes in blocks of at most _BLOCK
+    cells (a run id or an outcome), also cut where the run ids gain a
+    digit, one `stream.write` per block, so the text held at once is one
+    block.  The blocks are built in the caller's thread: one takes about
+    0.1 ms, too short for a second thread to pay for its hand-offs."""
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 2 or outcomes.shape[1] < 1 or outcomes.dtype.kind not in "iu":
         raise ValueError("outcomes must be a (runs, n) integer array with n >= 1")
     if outcomes.size and outcomes.min() < 0:
         raise ValueError("outcome indices must be non-negative")
     runs, n = outcomes.shape
-    rows = max(1, _BLOCK // (n + 1))
-    for lo in range(0, runs, rows):
-        block = outcomes[lo:lo + rows]
-        # Column by column, so that each column is contiguous.
-        cells = np.empty((n + 1, len(block)), dtype=np.int64)
-        cells[0] = np.arange(lo, lo + len(block))
-        cells[1:] = block.T
-        stream.write(_ascii_lines(cells.T).decode("ascii"))
+    cuts = sorted({*range(0, runs, max(1, _BLOCK // (n + 1))),
+                   *(10**k for k in range(1, len(str(runs))))} - {runs})
+    for lo, hi in zip(cuts, cuts[1:] + [runs]):
+        stream.write(_ascii_lines(lo, outcomes[lo:hi]))
 
 
-def _ascii_lines(cells: np.ndarray) -> bytes:
-    """The rows of a non-negative (m, c) integer array, c >= 2, in decimal:
-    the first cell of a row followed by a tab, the last by a newline and
-    the others by a comma."""
-    c = cells.shape[1]
-    tops = cells.max(axis=0).tolist()
-    widths = [len(str(top)) for top in tops]
-    # Each column's digits at the column's own width, zero-padded on the
-    # left; `keep` drops the padding of the columns whose width varies.
-    text = np.empty((len(cells), sum(widths) + c), dtype=np.uint8)
-    keep = None
-    at = 0
-    for column, top, width in zip(cells.T, tops, widths):
-        # Digits from the last, in the narrowest type that holds the column:
-        # a floor division by a constant is far cheaper than a remainder.
-        rest = column.astype(np.min_scalar_type(top))
-        for p in range(at + width - 1, at, -1):
-            tens = rest // 10
-            text[:, p] = rest - tens * 10
-            rest = tens
-        text[:, at] = rest
-        if width > 1 and column.min() < 10 ** (width - 1):
-            if keep is None:
-                keep = np.ones(text.shape, dtype=bool)
-            for p in range(width - 1):
-                np.greater_equal(column, 10 ** (width - 1 - p), out=keep[:, at + p])
-        at += width + 1
+def _ascii_lines(first: int, block: np.ndarray) -> str:
+    """The record lines of the rows of `block`, whose run ids first,
+    first + 1, ... have one digit count.  The ids are written at that
+    width and every outcome at the block's largest outcome width, zero
+    padded on the left; the padding is then dropped where an outcome is
+    narrower."""
+    m, n = block.shape
+    id_width = len(str(first + m - 1))
+    width = len(str(block.max()))
+    shape = (m, id_width + 1 + n * (width + 1))
+    # Laid out position by position (one byte position of every line
+    # contiguous), so that each pass below runs along the lines, not along
+    # the few cells of one line; `tobytes` reads the lines in order.
+    text = np.empty(shape[::-1], dtype=np.uint8).T
+    cells = text[:, id_width + 1:].reshape(m, n, width + 1)
+    _digits(np.arange(first, first + m), text[:, :id_width])
+    _digits(block, cells[:, :, :width])
     text += ord("0")
-    ends = np.cumsum(widths) + np.arange(c)     # each cell's separator
-    text[:, ends] = ord(",")
-    text[:, ends[0]] = ord("\t")
-    text[:, ends[-1]] = ord("\n")
-    return (text if keep is None else text[keep]).tobytes()
+    cells[:, :, width] = ord(",")
+    text[:, id_width] = ord("\t")
+    text[:, -1] = ord("\n")
+    if width > 1 and block.min() < 10 ** (width - 1):
+        keep = np.ones(shape, dtype=bool)
+        lead = keep[:, id_width + 1:].reshape(m, n, width + 1)
+        for p in range(width - 1):
+            np.greater_equal(block, 10 ** (width - 1 - p), out=lead[:, :, p])
+        text = np.ascontiguousarray(text)[keep]
+    return text.tobytes().decode("ascii")
+
+
+def _digits(values: np.ndarray, out: np.ndarray) -> None:
+    """The decimal digits of the non-negative integers `values` (...) into
+    out (..., w), the last digit last, zero-padded to w digits."""
+    # In the narrowest type that holds the values: a floor division by a
+    # constant is far cheaper than a remainder, and cheaper still narrow.
+    if out.shape[-1] > 1:
+        values = values.astype(np.min_scalar_type(values.max()))
+    for p in range(out.shape[-1] - 1, 0, -1):
+        tens = values // 10
+        out[..., p] = values - tens * 10
+        values = tens
+    out[..., 0] = values
 
 
 def _uniforms_at(seed: int, start: int, out: np.ndarray) -> None:
@@ -246,11 +239,6 @@ def _uniforms_at(seed: int, start: int, out: np.ndarray) -> None:
     gen = np.random.Generator(bits)
     gen.random(start % 4)
     gen.random(out=out)
-
-
-def _uniform_block(seed: int, runs: int, n: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return gen.random((runs, n))
 
 
 def _index_type(largest: int) -> np.dtype:
@@ -327,7 +315,8 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     if any(obs.dim != rho0.dim for obs in cycle):
         raise DimensionMismatchError("observable/state dimension mismatch")
     require_table_size((runs, spec.length), 16)
-    uniforms = _uniform_block(spec.seed, runs, spec.length)
+    uniforms = np.empty((runs, spec.length))
+    _uniforms_at(spec.seed, 0, uniforms.reshape(-1))
     return _leftfold_draws([obs.decomposition for obs in cycle], rho0.density,
                            uniforms, tol)
 
@@ -684,14 +673,14 @@ def _unravel(flat: np.ndarray, shape: tuple, dtype) -> np.ndarray:
 def empirical_distribution(outcomes: np.ndarray, spec: ChainSpec) -> JointDistribution:
     """Relative tuple frequencies of an outcome array on the chain's sample
     space, counted by `np.bincount`.  The table (8 B per tuple) must pass
-    `require_table_size`."""
-    sequence = spec.sequence()
-    shape = tuple(obs.n_outcomes for obs in sequence)
+    `require_table_size`, which is checked before the chain's sequence is
+    built."""
+    shape = _table_shape(spec)[:-2]
     require_table_size(shape, 8)
     flat = np.ravel_multi_index(tuple(outcomes.T), shape)
     counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
     return JointDistribution(
-        [np.asarray(obs.sample_space) for obs in sequence],
+        [np.asarray(obs.sample_space) for obs in spec.sequence()],
         counts / outcomes.shape[0],
     )
 

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -221,14 +220,19 @@ def cmd_chain(args, tol) -> int:
             exact = chain_mod.exact_chain_distribution(spec, state, tol)
     except chain_mod.TableTooLargeError:
         # No exact table at this size: report the tuples that were observed.
-        labels = _labels(obs.sample_space for obs in spec.sequence())
-        observed, counts = np.unique(outcomes, axis=0, return_counts=True)
+        # Each row is counted as one string of bytes: big-endian bytes of
+        # non-negative integers sort as the numbers do.
+        big = np.ascontiguousarray(outcomes, dtype=outcomes.dtype.newbyteorder(">"))
+        observed, counts = np.unique(big.view(np.dtype((np.void, big[0].nbytes))),
+                                     return_counts=True)
+        labels = _labels(obs.sample_space for obs in spec.observables[:spec.length])
         rows = [{
             "convention": convention,
-            "outcomes": ",".join(labels[k][i] for k, i in enumerate(t)),
+            "outcomes": ",".join(map(list.__getitem__, itertools.cycle(labels), t)),
             "exact": None,
             "empirical": _fmt(c / len(outcomes)),
-        } for t, c in zip(observed.tolist(), counts.tolist())]
+        } for t, c in zip(observed.view(big.dtype).reshape(len(observed), -1).tolist(),
+                          counts.tolist())]
     else:
         empirical = chain_mod.empirical_distribution(outcomes, spec)
         rows = [{
@@ -318,9 +322,6 @@ _shared_parser = functools.lru_cache(maxsize=1)(build_parser)
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        # The fallback seed serves only commands that take --seed.
-        if getattr(args, "seed", 0) is None and "COLLAPSEKIT_SEED" in os.environ:
-            args.seed = int(os.environ["COLLAPSEKIT_SEED"])
         tol = _tolerances(args)
         return args.func(args, tol)
     except (DocumentError, ValueError) as exc:

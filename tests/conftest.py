@@ -69,6 +69,14 @@ def philox_uniforms(seed, runs, n):
     return gen.random((runs, n))
 
 
+def record_text(outcomes) -> str:
+    """The records of a (runs, n) outcome array as `chain.write_records`
+    writes them: per run, its row index, a tab, its outcome indices joined
+    by commas, and a newline."""
+    return "".join(f"{r}\t" + ",".join(map(str, row)) + "\n"
+                   for r, row in enumerate(np.asarray(outcomes).tolist()))
+
+
 def reference_leftfold(stacks, density, uniforms, floor=1e-12):
     """Step sampler with one accumulated root per run, renormalised to unit
     trace after every step.

@@ -18,7 +18,6 @@ from collapsekit import (
     compare_conventions,
     empirical_distribution,
     exact_chain_distribution,
-    records,
     sample_chain_leftfold,
     sample_chain_tree,
     total_variation,
@@ -50,6 +49,7 @@ from conftest import (
     philox_uniforms,
     random_density,
     random_unitary,
+    record_text,
     reference_leftfold,
 )
 
@@ -211,8 +211,7 @@ class TestStatistics:
 class TestRecords:
     def test_line_format(self):
         outcomes = np.array([[0, 1, 1], [1, 0, 0]])
-        lines = [r.line() for r in records(outcomes)]
-        assert lines == ["0\t0,1,1", "1\t1,0,0"]
+        assert written(outcomes) == ["0\t0,1,1\n", "1\t1,0,0\n"]
 
 
 def written(outcomes) -> list:
@@ -224,7 +223,7 @@ def written(outcomes) -> list:
 
 
 def oracle(outcomes) -> list:
-    return [r.line() + "\n" for r in records(outcomes)]
+    return record_text(outcomes).splitlines(keepends=True)
 
 
 BLOCK = chain._BLOCK
@@ -402,6 +401,29 @@ class TestSampleDistribution:
         feed_uniforms(monkeypatch, u)
         np.testing.assert_array_equal(sample_distribution(dist, 0, len(u)),
                                       reference_draws(dist, u))
+
+    @pytest.mark.parametrize("runs", [7, 64])
+    def test_both_samplers_on_the_boundaries(self, runs, monkeypatch):
+        # A diagonal four-outcome chain in the maximally mixed state: its
+        # first step has the CDF boundaries 1/4, 1/2 and 3/4, and every
+        # later step repeats the first outcome.  Each uniform equals a
+        # boundary, lies one float below one, or is 0, and 64 runs (one per
+        # table entry) take the table sampler's guide table.  Both samplers
+        # must count the boundaries at or below u, as searchsorted(...,
+        # "right") does.
+        spec = ChainSpec([observable("N", np.diag(np.arange(4.0)))], 3)
+        rho = AlgebraicState.maximally_mixed(4)
+        bounds = np.arange(1, 4) / 4
+        u = np.zeros(runs)
+        u[:7] = np.concatenate([bounds, np.nextafter(bounds, 0.0), [0.0]])
+        expected = np.repeat(np.searchsorted(bounds, u, "right")[:, None], 3, axis=1)
+        assert set(expected[:7, 0]) == {0, 1, 2, 3}
+        feed_uniforms(monkeypatch, np.repeat(u, 3))     # each step of run r reads u[r]
+        np.testing.assert_array_equal(sample_chain_leftfold(spec, rho, runs), expected)
+        feed_uniforms(monkeypatch, u)
+        guides = count_guide_tables(monkeypatch)
+        np.testing.assert_array_equal(sample_chain_tree(spec, rho, runs), expected)
+        assert len(guides) == (runs >= 64)
 
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     @pytest.mark.parametrize("runs", [1, 1000, BLOCK + 1, 5000 + BLOCK])

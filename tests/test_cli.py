@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from collapsekit.config import Tolerances
 from collapsekit.io import DocumentError, dump_document, load_document
 from collapsekit.measurement import AlgebraicState, observable
 
-from conftest import PAULI_Z, degenerate_observable, fourier_pair, random_unitary
+from conftest import (
+    PAULI_Z,
+    degenerate_observable,
+    fourier_pair,
+    random_unitary,
+    record_text,
+)
 
 
 def write(path, doc):
@@ -341,22 +348,9 @@ class TestChain:
         second = capsys.readouterr().out
         assert first != second
 
-    def test_env_seed(self, docs, capsys, monkeypatch):
-        base = ["chain", docs["chain"], "--state", docs["ket0"],
-                "--runs", "50", "--mechanism", "step", "--emit-records"]
-        monkeypatch.setenv("COLLAPSEKIT_SEED", "99")
-        assert main(base) == 0
-        env_out = capsys.readouterr().out
-        monkeypatch.delenv("COLLAPSEKIT_SEED")
-        assert main(base + ["--seed", "99"]) == 0
-        flag_out = capsys.readouterr().out
-        assert env_out == flag_out
-
-    def test_seed_flag_does_not_carry_to_the_next_call(self, docs, capsys,
-                                                        monkeypatch):
+    def test_seed_flag_does_not_carry_to_the_next_call(self, docs, capsys):
         # One parser serves every call of main in a process: a --seed given
         # to one call must not become the default of the next.
-        monkeypatch.delenv("COLLAPSEKIT_SEED", raising=False)
         spec = json.loads((docs["tmp"] / "chain.json").read_text())
         spec["seed"] = 0
         seed0 = write(docs["tmp"] / "chain_seed0.json", spec)
@@ -368,7 +362,7 @@ class TestChain:
         second = capsys.readouterr().out
         outcomes = chain_mod.sample_chain_leftfold(
             load_document(seed0), load_document(docs["ket0"]), 50)
-        assert second == "".join(r.line() + "\n" for r in chain_mod.records(outcomes))
+        assert second == record_text(outcomes)
         assert first != second
 
     def test_build_parser_returns_a_fresh_parser(self):
@@ -386,8 +380,7 @@ class TestChain:
                                                          monkeypatch):
         spec = load_document(docs["chain"])
         state = load_document(docs["ket0"])
-        expected = "".join(r.line() + "\n" for r in chain_mod.records(
-            chain_mod.sample_chain_tree(spec, state, 300)))
+        expected = record_text(chain_mod.sample_chain_tree(spec, state, 300))
         calls = []
         build = chain_mod.exact_chain_distribution
 
@@ -459,6 +452,62 @@ class TestChainRowsOfNarrowOutcomes:
             assert len(narrow) == 256 and None not in exact
         else:
             assert set(exact) == {None} and len(narrow) > 256
+
+
+class TestChainRowsPastTheGuard:
+    """Past the size guard `collapsekit chain` prints the observed tuples,
+    in the order and with the counts of `np.unique(outcomes, axis=0)`."""
+
+    @staticmethod
+    def expected_rows(spec, state, runs):
+        outcomes = chain_mod.sample_chain_leftfold(spec, state, runs)
+        observed, counts = np.unique(outcomes, axis=0, return_counts=True)
+        return outcomes.dtype, [{
+            "convention": spec.convention,
+            "outcomes": ",".join(f"{obs.sample_space[i]:.12g}"
+                                 for obs, i in zip(spec.sequence(), t)),
+            "exact": None,
+            "empirical": f"{c / runs:.12g}",
+        } for t, c in zip(observed.tolist(), counts.tolist())]
+
+    @pytest.mark.parametrize("outcomes, length, dtype", [(4, 14, np.int8), (257, 1, np.int16)])
+    def test_rows_of_np_unique(self, docs, capsys, outcomes, length, dtype):
+        # 257 outcomes are labelled 0 .. 256: the rows' order is numeric,
+        # not that of their text, and index 256 makes the byte order of the
+        # outcome type count.
+        family = (fourier_pair(4) if outcomes == 4
+                  else [observable("N", np.diag(np.arange(float(outcomes))))])
+        spec = write(docs["tmp"] / "spec.json", {
+            "kind": "chain-spec", "length": length, "seed": 8,
+            "observables": [json.loads(dump_document(o)) for o in family]})
+        mixed = AlgebraicState.maximally_mixed(outcomes)
+        state = docs["tmp"] / "mixed.json"
+        state.write_text(dump_document(mixed))
+        assert main(["--format=json", "chain", spec, "--state", str(state),
+                     "--runs", "3000", "--mechanism", "step"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        drawn, expected = self.expected_rows(load_document(spec), mixed, 3000)
+        assert drawn == dtype and len(rows) > 250
+        assert rows == expected
+
+    def test_a_long_chain_in_bounded_memory(self, docs, capsys):
+        # Two runs of 2**18 steps: about 5 MiB of uniforms and outcomes.
+        # np.unique(axis=0) counts these rows over one structured field per
+        # step, in about 150 MiB.
+        doc = json.loads((docs["tmp"] / "chain.json").read_text())
+        spec = write(docs["tmp"] / "long.json", {**doc, "length": 2**18})
+        argv = ["--format=json", "chain", spec, "--state", docs["ket0"],
+                "--runs", "2", "--mechanism", "step"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert peak < 24 * 2**20
+        _, expected = self.expected_rows(load_document(spec), load_document(docs["ket0"]), 2)
+        assert rows == expected
 
 
 class TestBrackets:
@@ -615,12 +664,6 @@ class TestNumbersInDocuments:
 
 
 class TestInputErrors:
-    def test_env_seed_not_an_integer_exit_2(self, docs, capsys, monkeypatch):
-        monkeypatch.setenv("COLLAPSEKIT_SEED", "abc")
-        argv = ["chain", docs["chain"], "--state", docs["ket0"], "--runs", "5"]
-        assert main(argv) == 2
-        assert "abc" in capsys.readouterr().err
-
     def test_missing_config_exit_2(self, docs, capsys):
         missing = str(docs["tmp"] / "does-not-exist.json")
         assert main(["--config", missing, "brackets", "3"]) == 2
@@ -633,8 +676,7 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "top level must be an object" in err
 
-    def test_negative_seed_exit_2(self, docs, capsys, monkeypatch):
-        monkeypatch.delenv("COLLAPSEKIT_SEED", raising=False)
+    def test_negative_seed_exit_2(self, docs, capsys):
         argv = ["chain", docs["chain"], "--state", docs["ket0"], "--runs", "5",
                 "--seed", "-1"]
         assert main(argv) == 2

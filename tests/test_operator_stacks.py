@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from collapsekit.chain import records
 from collapsekit.cli import main
 from collapsekit.collapse_product import JointDistribution, catalan
 from collapsekit.incompatibility import chsh_marginal_problem, noncommutative_unifying_state
@@ -219,11 +218,6 @@ class TestStateSearch:
 
 
 class TestRecordsAndBrackets:
-    def test_records_carry_python_ints(self):
-        outcomes = np.array([[0, 2], [1, 0]], dtype=np.int64)
-        for record in records(outcomes):
-            assert all(type(v) is int for v in record.outcomes)
-
     def test_brackets_count_is_catalan_past_twelve(self, capsys):
         assert main(["--format=json", "brackets", "14"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]

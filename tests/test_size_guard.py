@@ -161,6 +161,11 @@ class TestChainLength:
             exact_chain_distribution(ChainSpec([Z], 10**6), MIXED)
         with pytest.raises(TableTooLargeError, match="MAX_TABLE_BYTES"):
             exact_chain_distribution(ChainSpec([Z, X], 22), MIXED)
+        # The frequency table: one axis per step and 8 B per tuple.
+        with pytest.raises(TableTooLargeError, match="1000000 axes"):
+            empirical_distribution(np.zeros((1, 10**6), dtype=np.int8), ChainSpec([Z], 10**6))
+        with pytest.raises(TableTooLargeError, match="MAX_TABLE_BYTES"):
+            empirical_distribution(np.zeros((1, 25), dtype=np.int8), ChainSpec([Z, X], 25))
 
     @pytest.mark.parametrize("length", range(1, 8))
     def test_shape_from_the_cycle(self, length):
