@@ -180,7 +180,12 @@ def reference_feasibility_lp(rows, rhs) -> FeasibilityResult:
 def assert_exact_optimum(result: FeasibilityResult, rows, rhs) -> None:
     """The phase-1 optimality conditions, in exact arithmetic: x >= 0, every
     row's slack sign(b_i) (b_i - A_i x) >= 0 with the slacks summing to the
-    violation, and a certificate y with y.A <= 0 and y.b == violation."""
+    violation, and a certificate y with y.A <= 0 and y.b == violation.
+    Every Fraction has Python int parts: one that holds a numpy integer
+    wraps at 64 bits."""
+    for v in (result.violation, *result.solution, *result.certificate):
+        assert type(v) is Fraction
+        assert type(v.numerator) is int and type(v.denominator) is int
     a = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
     x = result.solution

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +129,196 @@ class TestRationalLp:
         assert reference_feasibility_lp(rows, self.TINY_RHS).violation == \
             result.violation
         assert_exact_optimum(result, rows, self.TINY_RHS)
+
+    @staticmethod
+    def _adjugate_kinds(monkeypatch):
+        """The dtype kind of the adjugate at the start of every pivot."""
+        kinds = []
+        pivot = rational_lp._ExactBasis.pivot
+
+        def record(lp, *args):
+            kinds.append(lp.adj.dtype.kind)
+            pivot(lp, *args)
+
+        monkeypatch.setattr(rational_lp._ExactBasis, "pivot", record)
+        return kinds
+
+    def test_numpy_integers_widen_after_an_int64_pivot(self, monkeypatch):
+        # The float basis's adjugate has entries near 2**80, so it is refused;
+        # from the artificial basis the first pivot is int64 and leaves
+        # entries of 2**40, past the bound.
+        kinds = self._adjugate_kinds(monkeypatch)
+        rows = [[2**40, 1, 3], [1, 2**40, 5], [7, 2**39, 1]]
+        rhs = [2**41 + 3, 2**40 + 1, 5]
+        result = feasibility_lp(np.array(rows), np.array(rhs))
+        assert kinds == ["i"]
+        assert result.violation == reference_feasibility_lp(rows, rhs).violation
+        assert_exact_optimum(result, rows, rhs)
+
+    # Entries below 2**12 in magnitude: from the artificial basis each pivot
+    # multiplies the adjugate's entries by up to 2**12, and after five int64
+    # pivots they pass the bound.
+    WIDENING_ROWS = [[2872, 1121, 91, -1886, -1575, -3761],
+                     [-3480, -3961, -2661, 2566, 1224, 3381],
+                     [29, 873, 3856, 1880, 1083, 357],
+                     [490, 3564, -1824, 2587, 1399, -4074]]
+    WIDENING_RHS = [-868, 2927, 444, -3821]
+
+    def test_adjugate_widens_partway(self, monkeypatch):
+        kinds = self._adjugate_kinds(monkeypatch)
+        monkeypatch.setattr(rational_lp, "_float_basis", lambda *args: [6, 7, 8, 9])
+        result = feasibility_lp(self.WIDENING_ROWS, self.WIDENING_RHS)
+        assert kinds == ["i"] * 5 + ["O"] * 2
+        expected = reference_feasibility_lp(self.WIDENING_ROWS, self.WIDENING_RHS)
+        assert result.violation == expected.violation > 0
+        assert_exact_optimum(result, self.WIDENING_ROWS, self.WIDENING_RHS)
+
+    def test_wrong_float_inverse_is_refused(self, monkeypatch):
+        # One entry of the rounded adjugate off by one: B @ adj != d I.
+        rows, rhs = cycle_lp([0.9, 0.9, 0.9, 0.9, -0.9])
+        scaled_inverse = rational_lp._scaled_inverse
+
+        def off_by_one(b):
+            d, adj = scaled_inverse(b)
+            adj[0, 0] += 1
+            return d, adj
+
+        monkeypatch.setattr(rational_lp, "_scaled_inverse", off_by_one)
+        seen = self._record_starts(monkeypatch)
+        result = feasibility_lp(rows, rhs)
+        assert seen["accepted"] == [False]
+        expected = reference_feasibility_lp(rows.tolist(), rhs)
+        assert result.violation == expected.violation > 0
+        assert_exact_optimum(result, rows.tolist(), rhs)
+
+    def test_determinant_below_det_b_restarts(self, monkeypatch):
+        # B = diag(2, -2) has |det B| = 4.  Halved, d = 2 and adj =
+        # diag(1, -1) still pass B @ adj == d I, but the dual pivot that
+        # follows divides by 2 with a remainder: the loop must restart from
+        # the artificial basis instead of rounding.
+        rows, rhs = [[2, 0, 1], [0, -2, 1]], [1, 1]
+        scaled_inverse = rational_lp._scaled_inverse
+
+        def halved(b):
+            d, adj = scaled_inverse(b)
+            return d // 2, adj // 2
+
+        monkeypatch.setattr(rational_lp, "_scaled_inverse", halved)
+        monkeypatch.setattr(rational_lp, "_float_basis", lambda *args: [0, 1])
+        starts = []
+        init = rational_lp._ExactBasis.__init__
+
+        def record_init(lp, *args):
+            starts.append(lp)
+            init(lp, *args)
+
+        monkeypatch.setattr(rational_lp._ExactBasis, "__init__", record_init)
+        seen = self._record_starts(monkeypatch)
+        result = feasibility_lp(rows, rhs)
+        assert seen == {"accepted": [True], "negative_values": [True]}
+        assert len(starts) == 2
+        assert result.violation == reference_feasibility_lp(rows, rhs).violation == 0
+        assert_exact_optimum(result, rows, rhs)
+
+
+def cycle_problem(corr) -> MarginalProblem:
+    """The n-cycle X0 - X1 - ... - X(n-1) - X0 of +/-1 axes with unbiased
+    marginals and correlator corr[k] between X(k) and X(k+1)."""
+    n = len(corr)
+    names = [f"X{k}" for k in range(n)]
+    return MarginalProblem(
+        axes={name: PM for name in names},
+        contexts=[((names[k], names[(k + 1) % n]),
+                   _pair_dist(np.array([[1 + e, 1 - e], [1 - e, 1 + e]]) / 4))
+                  for k, e in enumerate(corr)],
+    )
+
+
+def recorded_lp(problem):
+    """admits_global_joint's verdict, with the rows, right-hand side and
+    exact result of its one feasibility_lp call."""
+    calls = []
+
+    def record(rows, rhs):
+        calls.append((rows, rhs, feasibility_lp(rows, rhs)))
+        return calls[-1][2]
+
+    with mock.patch.object(incompatibility, "feasibility_lp", record):
+        verdict = admits_global_joint(problem)
+    (rows, rhs, result), = calls
+    return verdict, rows, rhs, result
+
+
+def cycle_lp(corr):
+    """The int64 rows and Fraction right-hand side of an n-cycle's LP."""
+    _, rows, rhs, _ = recorded_lp(cycle_problem(corr))
+    return rows, rhs
+
+
+def cycle_bound_excess(corr) -> float:
+    """max over sign patterns with an odd number of minus signs of
+    sum_k s_k corr[k], minus n - 2: a global joint exists iff it is <= 0
+    (Araujo et al., PRA 88, 022118, 2013, unbiased marginals).  For n = 4
+    this is Fine's criterion, max |E11 + E12 + E21 + E22 - 2 E_ij| <= 2."""
+    n = len(corr)
+    return max(float(np.dot(signs, corr)) for signs in product((1, -1), repeat=n)
+               if signs.count(-1) % 2) - (n - 2)
+
+
+def assert_farkas(rows, rhs, result) -> None:
+    """Exactly: y.A <= 0 componentwise and y.b == violation > 0."""
+    y = result.certificate
+    common = math.lcm(*(v.denominator for v in y))
+    scaled = np.array([int(v * common) for v in y], dtype=object)
+    assert (scaled @ rows.astype(object) <= 0).all()
+    assert sum(v * b for v, b in zip(y, rhs)) == result.violation > 0
+
+
+class TestAtTheTupleGuard:
+    """The cycle inequalities at MAX_TUPLES: ten binary axes are 1024
+    tuples; each LP takes some 30 ms."""
+
+    @pytest.mark.parametrize("corr", [
+        [0.79] * 9 + [-0.79],      # odd signs, sum 7.9: inside
+        [0.81] * 9 + [-0.81],      # odd signs, sum 8.1: outside
+        [0.81] * 10,               # even signs: 8.1 - 2 * 0.81 inside
+        [-0.95] * 3 + [0.95] * 7,  # odd signs, sum 9.5: outside
+    ])
+    def test_ten_cycle_verdicts_follow_the_cycle_inequality(self, corr):
+        problem = cycle_problem(corr)
+        assert int(np.prod([len(v) for v in problem.axes.values()])) == \
+            incompatibility.MAX_TUPLES
+        verdict, rows, rhs, result = recorded_lp(problem)
+        feasible = cycle_bound_excess(corr) <= 0
+        assert verdict.feasible == feasible
+        if feasible:
+            assert result.violation == 0
+            for names, dist in problem.contexts:
+                keep = [problem.axis_order().index(name) for name in names]
+                assert np.abs(verdict.joint.marginal(keep).probabilities
+                              - dist.probabilities).max() <= 1e-12
+        else:
+            assert_farkas(rows, rhs, result)
+
+    @pytest.mark.parametrize("n, draws", [(4, 40), (10, 4)])
+    def test_random_cycle_verdicts(self, n, draws):
+        # n = 4 is CHSH, where the cycle inequality is Fine's criterion.
+        rng = np.random.default_rng(n)
+        verdicts = []
+        for _ in range(draws):
+            corr = rng.uniform(0.6, 1.0, size=n) * rng.choice((-1, 1), size=n)
+            if abs(cycle_bound_excess(corr)) < 1e-3:
+                continue
+            verdict, rows, rhs, result = recorded_lp(cycle_problem(corr))
+            assert verdict.feasible == (cycle_bound_excess(corr) <= 0)
+            if not verdict.feasible:
+                assert_farkas(rows, rhs, result)
+            verdicts.append(verdict.feasible)
+        assert True in verdicts and False in verdicts
+
+    def test_eleven_cycle_is_refused_by_the_guard(self):
+        with pytest.raises(ValueError, match="2048 exceeds the guard of 1024"):
+            admits_global_joint(cycle_problem([0.5] * 11))
 
 
 class TestAdmitsGlobalJoint:
