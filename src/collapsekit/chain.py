@@ -5,10 +5,10 @@ seed; run r owns the r-th row of the counter space, so runs are independent
 substreams that can be evaluated in any order with byte-identical results.
 `_uniforms_at` reads any stretch of that stream: the step sampler reads
 its (runs, n) uniforms from position 0, and a block of the table sampler
-reads its own, so the table sampler runs independent blocks on up to one
-thread per usable CPU, and the draws do not depend on how many threads
-there are.  `write_records` writes sampled outcomes as text, one line
-`run_id<TAB>i1,...,in` per run.
+reads its own, so the table sampler runs independent blocks in lanes on up
+to one thread per usable CPU, each lane on one bit generator, and the
+draws do not depend on how many threads there are.  `write_records` writes
+sampled outcomes as text, one line `run_id<TAB>i1,...,in` per run.
 
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
@@ -113,10 +113,12 @@ CONVENTIONS = tuple(FOLD_TREES)
 # Runs per block of the table sampler, and cells per block of the step
 # sampler's draws and of the record writer (run ids and outcomes).  A block
 # of the table sampler draws its own uniforms from its position in the
-# seed's stream, and independent blocks run on `_workers` threads
+# seed's stream, and independent blocks run in lanes on `_workers` threads
 # (`_each_block`).  Each block's temporaries take a few hundred kB, so a
 # call's working memory beyond its uniforms and outcomes is a few hundred
-# kB per thread, whatever the run count or the chain length.
+# kB per thread, whatever the run count or the chain length.  The table
+# sampler's guide table has at least min(runs, _BLOCK) buckets, at most
+# 256 kB more than one bucket per drawable entry.
 _BLOCK = 2**15
 # Blocks per thread at the least.  Starting a thread and waking it on
 # another CPU took about 0.3 ms on a 2-CPU machine, as long as one to three
@@ -145,14 +147,8 @@ class ChainSpec:
         if not isinstance(self.convention, str) or self.convention not in CONVENTIONS:
             raise ValueError(f"convention: expected one of {CONVENTIONS}, "
                              f"got {self.convention!r}")
-        for name in ("length", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}: expected an integer, got {value!r}")
-        if self.length < 1:
-            raise ValueError(f"length {self.length} is below 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        _require_integer("length", self.length, 1)
+        _require_integer("seed", self.seed, 0, 2**64)
 
     def sequence(self) -> list:
         return [self.observables[k % len(self.observables)]
@@ -160,6 +156,15 @@ class ChainSpec:
 
     def tree(self) -> BracketTree:
         return FOLD_TREES[self.convention](self.length)
+
+
+def _require_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    """Raise ValueError, with a message that starts with `name`, unless
+    `value` is an integer (not a bool) in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if not low <= value < high:
+        raise ValueError(f"{name} {value} outside [{low}, {high})")
 
 
 def write_records(outcomes: np.ndarray, stream) -> None:
@@ -229,16 +234,26 @@ def _digits(values: np.ndarray, out: np.ndarray) -> None:
     out[..., 0] = values
 
 
-def _uniforms_at(seed: int, start: int, out: np.ndarray) -> None:
+def _uniforms_at(seed: int, start: int, out: np.ndarray, stream=None):
     """Fill the 1-d float64 array `out` with the positions [start, start +
-    len(out)) of `Generator(Philox(key=seed)).random`'s stream.  Philox
-    makes four doubles per counter step, so the generator is advanced by
-    start // 4 steps and start % 4 doubles are discarded."""
-    bits = np.random.Philox(key=np.uint64(seed))
-    bits.advance(start // 4)
-    gen = np.random.Generator(bits)
+    len(out)) of `Generator(Philox(key=seed)).random`'s stream, and return
+    the stream past them: a (generator, position) pair.
+
+    Philox makes four doubles per counter step, and `advance` moves the
+    counter and drops what is left of the current step.  So a generator is
+    keyed, advanced by start // 4 steps, and start % 4 doubles are
+    discarded.  A `stream` that an earlier call for this seed returned is
+    advanced instead of keying a new one when its position is a multiple
+    of 4 at or below start: keying took about 17 us on a 2-CPU machine
+    with numpy 2.4, most of it OS entropy that the key then overrides,
+    against about 4 us to advance."""
+    if stream is None or stream[1] % 4 or stream[1] > start:
+        stream = np.random.Generator(np.random.Philox(key=np.uint64(seed))), 0
+    gen, at = stream
+    gen.bit_generator.advance((start - at) // 4)
     gen.random(start % 4)
     gen.random(out=out)
+    return gen, start + len(out)
 
 
 def _index_type(largest: int) -> np.dtype:
@@ -263,21 +278,19 @@ def _workers(blocks: int) -> int:
 
 
 def _each_block(work, starts: range, workers: int) -> None:
-    """work(lo) for every block start lo in `starts`, the blocks being
-    independent, on `workers` threads: the caller's and helpers that start
-    here and are joined before it returns.  Thread k takes every
-    workers-th block from the k-th.  An exception a block raises is
-    raised to the caller once every thread has stopped."""
-    def lane(k: int) -> None:
-        for lo in starts[k::workers]:
-            work(lo)
-
+    """work(lane) for each of `workers` lanes of the independent blocks
+    that start at `starts`: lane k holds every workers-th start from the
+    k-th, in order.  Lane 0 runs in the caller's thread and each other lane
+    in a helper that starts here and is joined before it returns.  An
+    exception a lane raises is raised to the caller once every thread has
+    stopped."""
+    lanes = [starts[k::workers] for k in range(workers)]
     if workers == 1:
-        lane(0)
+        work(lanes[0])
         return
     with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(lane, k) for k in range(1, workers)]
-        lane(0)
+        helpers = [pool.submit(work, lane) for lane in lanes[1:]]
+        work(lanes[0])
     for helper in helpers:
         helper.result()
 
@@ -309,8 +322,7 @@ def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
     refuses the call at 16 B per run and step."""
     if spec.convention != "left_fold":
         raise ValueError("step sampling is defined for the left_fold convention")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _require_integer("runs", runs, 1)
     cycle = spec.observables[:spec.length]
     if any(obs.dim != rho0.dim for obs in cycle):
         raise DimensionMismatchError("observable/state dimension mismatch")
@@ -561,22 +573,27 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
     entries, each run takes that binary search, a block of _BLOCK runs at a
     time in the order of their uniforms.  Otherwise only the K entries whose
     CDF value rises above the one before can be drawn, and their values are
-    searched by guide table (`_GuideTable`): per run one indexed lookup and
-    a bisection of fixed width, with the same float comparisons as the
-    binary search.  Each run's tuple is then gathered whole from a table of
-    the K drawable tuples in the outcomes' type, so the table is never
-    larger than the outcomes.  Each block draws its own uniforms from its
-    position in the seed's stream, and the blocks run on `_workers` threads
-    (`_each_block`); no uniform array spans the runs.
+    searched by a guide table (`_GuideTable`) of max(K, min(runs, _BLOCK))
+    buckets: per run one indexed lookup and a bisection of fixed width,
+    most often none, then one comparison, with the same float comparisons
+    as the binary search.  Each run's tuple is then gathered whole from a
+    table of the K drawable tuples in the outcomes' type, so the table is
+    never larger than the outcomes.  Each block draws its own uniforms from
+    its position in the seed's stream.  The blocks run in lanes on
+    `_workers` threads (`_each_block`), and each lane keys one bit
+    generator and advances it from block to block; no uniform array spans
+    the runs.
 
-    Returns outcome indices of shape (runs, axes) in `_index_type` of the
-    largest index, 1 B per run and axis below 129 outcomes per axis;
-    `require_table_size` refuses the call at 16 B per run and axis.
+    `seed` is an integer in [0, 2**64) and `runs` one of at least 1, not
+    bools; either refused raises ValueError naming it.  Returns outcome
+    indices of shape (runs, axes) in `_index_type` of the largest index,
+    1 B per run and axis below 129 outcomes per axis; `require_table_size`
+    refuses the call at 16 B per run and axis.
 
     Raises ValueError when the table has a non-finite or negative entry or
     does not sum to 1 within DEFAULT.num (`JointDistribution.check`)."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _require_integer("seed", seed, 0, 2**64)
+    _require_integer("runs", runs, 1)
     shape = dist.shape
     require_table_size((runs, len(shape)), 16)
     dist.check()
@@ -602,17 +619,19 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
         del cum
         rows = np.ascontiguousarray(_unravel(drawable, shape, index))
         del drawable
-        search = _GuideTable(values)
+        search = _GuideTable(values, max(len(values), min(runs, _BLOCK)))
 
         def pick(u):
             return rows.take(search(u), axis=0)
 
     outcomes = np.empty((runs, len(shape)), dtype=index)
 
-    def draw(lo: int) -> None:
-        u = np.empty(min(_BLOCK, runs - lo))
-        _uniforms_at(seed, lo, u)
-        outcomes[lo:lo + len(u)] = pick(u)
+    def draw(lane: range) -> None:
+        u, stream = np.empty(min(_BLOCK, runs)), None
+        for lo in lane:
+            block = u[:runs - lo]
+            stream = _uniforms_at(seed, lo, block, stream)
+            outcomes[lo:lo + len(block)] = pick(block)
 
     blocks = range(0, runs, _BLOCK)
     _each_block(draw, blocks, _workers(len(blocks)))
@@ -625,28 +644,31 @@ class _GuideTable:
     uniforms u in [0, 1), it returns how many values are at or below each
     u, as `np.searchsorted(values, u, "right")` does.
 
-    Each value x falls into bucket floor(x K), and so does each u, into a
-    bucket of at most K since u < 1.  Each float operation is monotone, so
-    every value in a lower bucket than u's lies below u and every value in
-    a higher one above it: the count is guide[b], the number of values in
-    buckets below u's bucket b, plus the count within bucket b.  That count
-    is found by a bisection of fixed width, the largest bucket's count,
-    from guide[b] on; a probe past the last value reads the last value,
-    which lies above u."""
+    The table has B = `buckets` buckets, K when not given.  Each value x
+    falls into bucket floor(x B), and so does each u, into a bucket of at
+    most B since u < 1.  Each float operation is monotone, so every value
+    in a lower bucket than u's lies below u and every value in a higher one
+    above it: the count is guide[b], the number of values in buckets below
+    u's bucket b, plus the count within bucket b.  That count is found by a
+    bisection of fixed width, the largest bucket's count, from guide[b] on;
+    a probe past the last value reads the last value, which lies above u.
+    With B at several times K most buckets hold at most one value, and the
+    bisection is skipped: one lookup and one comparison per u.  The guide
+    takes 8 (B + 2) bytes for values below 1 + 1 / B."""
 
-    def __init__(self, values: np.ndarray):
-        k = len(values)
-        buckets = (values * k).astype(np.intp)
+    def __init__(self, values: np.ndarray, buckets: int | None = None):
+        self.buckets = len(values) if buckets is None else buckets
+        bucket = (values * self.buckets).astype(np.intp)
         # Counting bucket(x) + 1 and summing the counts in place leaves
         # guide[b] = the number of values in buckets below b.
-        buckets += 1
-        self.guide = np.bincount(buckets, minlength=k + 1)
+        bucket += 1
+        self.guide = np.bincount(bucket, minlength=self.buckets + 1)
         self.width = int(self.guide.max())
         np.cumsum(self.guide, out=self.guide)
-        self.k, self.values = k, values
+        self.values = values
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        at = self.guide.take((u * self.k).astype(np.intp))
+        at = self.guide.take((u * self.buckets).astype(np.intp))
         width = self.width
         while width > 1:
             half = width // 2
@@ -672,9 +694,18 @@ def _unravel(flat: np.ndarray, shape: tuple, dtype) -> np.ndarray:
 
 def empirical_distribution(outcomes: np.ndarray, spec: ChainSpec) -> JointDistribution:
     """Relative tuple frequencies of an outcome array on the chain's sample
-    space, counted by `np.bincount`.  The table (8 B per tuple) must pass
-    `require_table_size`, which is checked before the chain's sequence is
-    built."""
+    space, counted by `np.bincount`.  The outcomes must be (runs, n) with at
+    least one run and n = spec.length, or ValueError is raised.  The table
+    (8 B per tuple) must pass `require_table_size`, which is checked before
+    the chain's sequence is built."""
+    outcomes = np.asarray(outcomes)
+    if outcomes.ndim != 2:
+        raise ValueError(f"outcomes: expected a (runs, n) array, got shape {outcomes.shape}")
+    if outcomes.shape[1] != spec.length:
+        raise ValueError(f"outcomes: width {outcomes.shape[1]} is not the chain's "
+                         f"length {spec.length}")
+    if outcomes.shape[0] < 1:
+        raise ValueError("outcomes: no runs to count")
     shape = _table_shape(spec)[:-2]
     require_table_size(shape, 8)
     flat = np.ravel_multi_index(tuple(outcomes.T), shape)

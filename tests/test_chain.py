@@ -349,17 +349,20 @@ EDGE_CASES = {
 }
 
 
-def count_guide_tables(monkeypatch) -> list:
-    """Record [K, calls] for each guide table `sample_distribution` builds.
-    Blocks call the table from several threads, so each count is taken
-    under a lock."""
+def count_guide_tables(monkeypatch, tables=None) -> list:
+    """Record [K, calls] for each guide table `sample_distribution` builds,
+    and append the table itself, with its bucket count and bisection
+    width, to `tables` when given.  Blocks call the table from several
+    threads, so each count is taken under a lock."""
     built = []
     lock = threading.Lock()
 
     class Counting(chain._GuideTable):
-        def __init__(self, values):
-            super().__init__(values)
+        def __init__(self, values, buckets=None):
+            super().__init__(values, buckets)
             built.append([len(values), 0])
+            if tables is not None:
+                tables.append(self)
 
         def __call__(self, u):
             with lock:
@@ -372,8 +375,9 @@ def count_guide_tables(monkeypatch) -> list:
 
 def feed_uniforms(monkeypatch, u: np.ndarray) -> None:
     """Make the stream position p of every seed read u[p]."""
-    def uniforms_at(seed, start, out):
+    def uniforms_at(seed, start, out, stream=None):
         out[...] = u[start:start + len(out)]
+        return stream
 
     monkeypatch.setattr(chain, "_uniforms_at", uniforms_at)
 
@@ -436,33 +440,71 @@ class TestSampleDistribution:
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     def test_uniforms_on_cdf_values_and_bucket_edges(self, name, monkeypatch):
         # Every uniform equals a drawable CDF value or a bucket edge g / K
-        # (K drawable entries), or lies one float on either side of one.
+        # (K drawable entries) or g / B (the guide table's B buckets), or
+        # lies one float on either side of one.  The B edges alone make
+        # more than BLOCK runs, so B = max(K, BLOCK).
         dist = unscaled(EDGE_CASES[name])
         cum = np.cumsum(dist.probabilities.ravel())
         cum[-1] = 1.0
         values = cum[np.diff(cum, prepend=0.0) > 0]
-        edges = np.arange(len(values) + 1) / len(values)
-        u = np.concatenate([values, edges])
+        k = len(values)
+        b = max(k, BLOCK)
+        u = np.concatenate([values, np.arange(k + 1) / k, np.arange(b + 1) / b])
         u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]
         u = np.concatenate([u, np.zeros(dist.probabilities.size)])    # runs >= entries
         feed_uniforms(monkeypatch, u)
-        guides = count_guide_tables(monkeypatch)
+        tables = []
+        guides = count_guide_tables(monkeypatch, tables)
         np.testing.assert_array_equal(sample_distribution(dist, 0, len(u)),
                                       reference_draws(dist, u))
         assert guides == [[len(values), -(-len(u) // BLOCK)]]
+        assert [t.buckets for t in tables] == [b]
 
-    @pytest.mark.parametrize("runs", [1, 4607, 4608, 3 * BLOCK + 1])
+    def test_more_drawable_entries_than_a_block(self, monkeypatch):
+        # K > BLOCK: one bucket per drawable entry, as before.
+        p = np.random.default_rng(6).random(BLOCK + 100) + 0.01
+        dist = table(p)
+        runs = len(p) + 5
+        tables = []
+        count_guide_tables(monkeypatch, tables)
+        np.testing.assert_array_equal(
+            sample_distribution(dist, 8, runs),
+            reference_draws(dist, philox_uniforms(8, runs, 1)[:, 0]))
+        assert [t.buckets for t in tables] == [len(p)]
+
+    def test_values_crowding_one_bucket(self, monkeypatch):
+        # 41 CDF values within 5e-8 of 0.3 share one of BLOCK buckets, so
+        # the bisection still runs; uniforms on those values and one float
+        # on either side must break each tie as searchsorted does.
+        p = np.r_[0.3, np.full(40, 1e-9), np.full(23, 0.7 / 23)]
+        dist = unscaled(p / p.sum())
+        cum = np.cumsum(dist.probabilities)
+        cum[-1] = 1.0
+        crowd = cum[:41]
+        u = np.concatenate([crowd, np.nextafter(crowd, 0.0), np.nextafter(crowd, 1.0)])
+        runs = BLOCK + 3
+        u = np.concatenate([u, np.random.default_rng(2).random(runs - len(u))])
+        feed_uniforms(monkeypatch, u)
+        tables = []
+        count_guide_tables(monkeypatch, tables)
+        np.testing.assert_array_equal(sample_distribution(dist, 0, runs),
+                                      reference_draws(dist, u))
+        assert tables[0].buckets == BLOCK and tables[0].width >= 41
+
+    @pytest.mark.parametrize("runs", [1, 4607, 4608, 5000, BLOCK - 1, BLOCK, 3 * BLOCK + 1])
     def test_guide_table_only_for_at_least_one_run_per_entry(self, runs, monkeypatch):
         # With fewer runs than entries each run takes a binary search;
-        # otherwise one guide table over the 276 drawable entries serves
-        # every block.
+        # otherwise one guide table over the 276 drawable entries, with
+        # min(runs, BLOCK) buckets, serves every block.
         dist = unscaled(EDGE_CASES["c3_like"])
-        guides = count_guide_tables(monkeypatch)
+        tables = []
+        guides = count_guide_tables(monkeypatch, tables)
         drawn = sample_distribution(dist, 5, runs)
         np.testing.assert_array_equal(
             drawn, reference_draws(dist, philox_uniforms(5, runs, 1)[:, 0]))
         assert guides == ([] if runs < 4608 else [[276, -(-runs // BLOCK)]])
+        assert [t.buckets for t in tables] == ([] if runs < 4608 else [min(runs, BLOCK)])
 
     def test_guide_table_values_past_one(self):
         # Values of 1 + 1/K and more fall past u's last bucket, K.
@@ -471,6 +513,22 @@ class TestSampleDistribution:
                           np.nextafter(values[:4], 0.0)])
         np.testing.assert_array_equal(chain._GuideTable(values)(u),
                                       np.searchsorted(values, u, "right"))
+
+    @pytest.mark.parametrize("seed, runs, name", [
+        (-1, 5, "seed"), (2**64, 5, "seed"), (True, 5, "seed"), (1.0, 5, "seed"),
+        ("3", 5, "seed"), (3, 0, "runs"), (3, -2, "runs"), (3, True, "runs"),
+        (3, 2.0, "runs"), (3, None, "runs"),
+    ])
+    def test_invalid_seed_or_runs_refused(self, seed, runs, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            sample_distribution(table([1.0, 2.0]), seed, runs)
+
+    def test_integer_seed_and_runs_of_any_type(self):
+        dist = table([1.0, 2.0, 3.0])
+        expected = reference_draws(dist, philox_uniforms(2**64 - 1, 7, 1)[:, 0])
+        for seed, runs in ((2**64 - 1, 7), (np.uint64(2**64 - 1), np.int64(7)),
+                           (np.uint64(2**64 - 1), np.uint8(7))):
+            np.testing.assert_array_equal(sample_distribution(dist, seed, runs), expected)
 
     @pytest.mark.parametrize("probabilities, message", [
         ([0.25, 0.25], "sum to 1"),
@@ -517,13 +575,67 @@ class TestBlocksAndThreads:
         np.testing.assert_array_equal(
             drawn[0], reference_draws(dist, philox_uniforms(41, runs, 1)[:, 0]))
 
+    # 3 * BLOCK + 5 runs: four blocks, the last partial and not a multiple
+    # of 4 runs.  With 2 workers lane 0 advances past block 1 to block 2;
+    # with 3, past blocks 1 and 2 to block 3.  A guide table for (3, 4),
+    # a binary search for (64, 64, 32).
+    @pytest.mark.parametrize("shape", [(3, 4), (64, 64, 32)])
+    @pytest.mark.parametrize("fed", [False, True])
+    def test_each_lane_keys_one_generator(self, shape, fed, monkeypatch):
+        runs = 3 * BLOCK + 5
+        dist = table(plateaus(shape, 2))
+        u = philox_uniforms(41, runs, 1)[:, 0]
+        if fed:
+            # Uniforms of another stream: every block must read them.
+            u = np.random.default_rng(9).random(runs)
+            feed_uniforms(monkeypatch, u)
+        philox = np.random.Philox
+        keyed = []
+
+        def counting(*args, **kwargs):
+            keyed.append(1)
+            return philox(*args, **kwargs)
+
+        for workers in (1, 2, 3):
+            keyed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(chain, "_workers", lambda blocks, w=workers: w)
+                patch.setattr(np.random, "Philox", counting)
+                drawn = sample_distribution(dist, 41, runs)
+            assert drawn.tobytes() == reference_draws(dist, u).astype(drawn.dtype).tobytes()
+            assert len(keyed) == (0 if fed else workers)
+
+    def test_guide_adds_at_most_a_block_of_buckets(self, monkeypatch):
+        # K = 276 < BLOCK: the guide's min(runs, BLOCK) buckets take at
+        # most 8 (BLOCK + 2) bytes more than 276 of them.
+        dist = unscaled(EDGE_CASES["c3_like"])
+        monkeypatch.setattr(chain, "_workers", lambda blocks: 1)
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                sample_distribution(dist, 5, 4 * BLOCK)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wide = peak()
+
+        class OnePerEntry(chain._GuideTable):
+            def __init__(self, values, buckets=None):
+                super().__init__(values)
+
+        monkeypatch.setattr(chain, "_GuideTable", OnePerEntry)
+        assert wide - peak() <= 8 * (BLOCK + 2)
+
     # With 3 workers, block 0 is the caller's and block 5 a helper's.
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("bad", [0, 5])
     def test_an_exception_in_a_block_reaches_the_caller(self, workers, bad):
-        def work(lo):
-            if lo == bad:
-                raise ZeroDivisionError(f"block {bad}")
+        def work(lane):
+            for lo in lane:
+                if lo == bad:
+                    raise ZeroDivisionError(f"block {bad}")
 
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match=f"block {bad}"):
@@ -533,7 +645,7 @@ class TestBlocksAndThreads:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_every_block_runs_once(self, workers):
         ran = []
-        chain._each_block(ran.append, range(0, 6001, 3), workers)
+        chain._each_block(ran.extend, range(0, 6001, 3), workers)
         assert sorted(ran) == list(range(0, 6001, 3))
 
     @pytest.mark.parametrize("blocks, cpus, workers", [
@@ -661,7 +773,7 @@ class TestOutcomeType:
 
 
 class TestEmpiricalDistribution:
-    @pytest.mark.parametrize("observables, runs", [([Z], 1), ([Z], 500), ([Z, X], 0),
+    @pytest.mark.parametrize("observables, runs", [([Z], 1), ([Z], 500), ([Z, X], 2),
                                                    ([Z, X], 1), ([Z, X, Z], 997)])
     def test_equals_counting_one_by_one(self, observables, runs):
         spec = ChainSpec(observables, len(observables))
@@ -669,11 +781,22 @@ class TestEmpiricalDistribution:
         shape = (2,) * spec.length
         counts = np.zeros(shape)
         np.add.at(counts.ravel(), np.ravel_multi_index(tuple(outcomes.T), shape), 1.0)
-        with np.errstate(invalid="ignore"):
-            emp = empirical_distribution(outcomes, spec)
-            expected = counts / runs
+        emp = empirical_distribution(outcomes, spec)
         assert emp.probabilities.dtype == np.float64
-        np.testing.assert_array_equal(emp.probabilities, expected)
+        np.testing.assert_array_equal(emp.probabilities, counts / runs)
+
+    @pytest.mark.parametrize("outcomes, message", [
+        (np.zeros((0, 2), dtype=np.int64), "no runs"),
+        (np.zeros((5, 3), dtype=np.int64), "width 3 is not the chain's length 2"),
+        (np.zeros((5, 1), dtype=np.int8), "width 1 is not the chain's length 2"),
+        (np.zeros(5, dtype=np.int64), r"shape \(5,\)"),
+    ])
+    def test_refuses_outcomes_it_cannot_count(self, outcomes, message):
+        # Zero runs would give 0 / 0 in every cell, a table of NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                empirical_distribution(outcomes, ChainSpec([Z, X], 2))
 
     def test_shape_one(self):
         one = observable("One", np.eye(2))
@@ -686,6 +809,11 @@ class TestGuards:
     def test_leftfold_requires_leftfold_convention(self):
         with pytest.raises(ValueError):
             sample_chain_leftfold(ChainSpec([Z], 2, "right_fold"), MIXED, 10)
+
+    @pytest.mark.parametrize("runs", [0, True, 2.0])
+    def test_leftfold_refuses_runs_that_are_not_a_count(self, runs):
+        with pytest.raises(ValueError, match="^runs"):
+            sample_chain_leftfold(ChainSpec([Z], 2), MIXED, runs)
 
     def test_tree_length_limit(self):
         # 2**22 tuples of 2 x 2 complex entries: 256 MiB, past MAX_TABLE_BYTES.
