@@ -3,7 +3,9 @@
 Builds the largest left-fold, right-fold and reverse-fold effect tables that
 `MAX_TABLE_BYTES` admits, once each, and checks that every entry is PSD and
 the entries sum to the identity, that the probabilities sum to 1, and that
-the left fold's exact law and its step sampler agree with its table.  A
+the left fold's exact law and its step sampler agree with its table.  The
+same folds of Z measured again and again take no root and are diagonal in
+the outcome tuple.  A
 chain of d = 4 observables with two rank-2 outcomes each, whose roots
 branch at every step, checks the left fold's exact law against its table
 at the guard's limit too.  It also samples a million-step chain at the
@@ -30,6 +32,7 @@ from collapsekit import (
     observable,
     sample_chain_leftfold,
 )
+from collapsekit import collapse_product
 from collapsekit.chain import sample_distribution
 from collapsekit.collapse_product import MAX_TABLE_BYTES, TableTooLargeError
 from collapsekit.config import DEFAULT
@@ -107,6 +110,27 @@ def test_step_sampler_agrees_with_the_table(largest):
     observed = np.bincount(group[cells], minlength=BINS)
     statistic = ((observed - expected) ** 2 / expected).sum()
     assert stats.chi2.sf(statistic, BINS - 1) > 1e-3
+
+
+@pytest.mark.parametrize("convention", ["left_fold", "right_fold", "reverse_fold"])
+def test_repeated_measurement_takes_no_root(monkeypatch, convention):
+    """Z measured STEPS times, the repeated (QND) measurement of one
+    observable: every operand is a product of commuting projectors, its own
+    root, so no fold takes an eigensolve.  Each entry is P_i on the
+    constant tuple (i, ..., i) and 0 on every other tuple."""
+    def no_root(*args, **kwargs):
+        raise AssertionError("a fold of commuting measurements took a PSD root")
+
+    monkeypatch.setattr(collapse_product, "batched_psd_sqrt", no_root)
+    z = observable("Z", np.diag([1.0, -1.0]))
+    spec = ChainSpec([z], STEPS, convention)
+    table = collapse_effect_tree(spec.sequence(), spec.tree())
+    assert table.effects.nbytes <= MAX_TABLE_BYTES < 2 * table.effects.nbytes
+    table.check()
+    flat = table.flat_effects()
+    assert np.abs(flat[0] - z.projectors[0]).max() <= 1e-15
+    assert np.abs(flat[-1] - z.projectors[1]).max() <= 1e-15
+    assert not flat[1:-1].any()
 
 
 # Two-outcome d = 4 observables whose outcomes have rank two: 256 B per

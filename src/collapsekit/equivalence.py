@@ -16,7 +16,12 @@ import numpy as np
 from .collapse_product import JointDistribution, require_table_size
 from .config import DEFAULT, Tolerances
 from .measurement import AlgebraicState, Observable
-from .operator_core import SpectralDecomposition, commutator_norm
+from .operator_core import (
+    DimensionMismatchError,
+    SpectralDecomposition,
+    as_matrix,
+    commutator_norms,
+)
 
 __all__ = [
     "CommutativeModel",
@@ -142,13 +147,15 @@ def verify_equivalence(model: CommutativeModel, dist: JointDistribution,
 
 
 def qnd_check(observables: list, tol: Tolerances = DEFAULT) -> bool:
-    """True iff every pair of observables commutes within tolerance."""
-    mats = [o.matrix() if isinstance(o, Observable) else np.asarray(o) for o in observables]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if commutator_norm(mats[i], mats[j]) > tol.num:
-                return False
-    return True
+    """True iff every pair of observables commutes within tolerance: the
+    max-entry norm of each commutator is at most tol.num.  Each matrix is
+    tested against all later ones in one batched product."""
+    mats = [as_matrix(o.matrix() if isinstance(o, Observable) else o) for o in observables]
+    if len({m.shape for m in mats}) > 1:
+        raise DimensionMismatchError("observables act on different dimensions")
+    stack = np.array(mats)
+    return all(commutator_norms(stack[k], stack[k + 1:]).max() <= tol.num
+               for k in range(len(stack) - 1))
 
 
 def primed_observable(model: CommutativeModel, k: int) -> Observable:

@@ -13,6 +13,7 @@ that names the document's path.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -32,6 +33,10 @@ from .measurement import (
 __all__ = ["DocumentError", "load_document", "dump_document", "KINDS"]
 
 KINDS = ("observable", "state", "vector", "povm", "chain-spec", "marginal-problem")
+
+
+# The Python types of JSON numbers; bool, a subclass of int, is not one.
+_JSON_NUMBERS = frozenset((int, float))
 
 
 class DocumentError(ValueError):
@@ -62,9 +67,38 @@ def _parse_table(value, where: str):
     return _number(value, where)
 
 
+def _numeric_matrix(rows: list):
+    """`rows` parsed by numpy in one pass, when every row is a list of
+    len(rows) entries and either every entry is a finite int or float or
+    every entry is an [re, im] pair of them; else None."""
+    n = len(rows)
+    if not all(type(row) is list and len(row) == n for row in rows):
+        return None
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    scalars = itertools.chain.from_iterable(rows)
+    if values.shape == (n, n, 2):
+        scalars = itertools.chain.from_iterable(scalars)
+    elif values.shape != (n, n):
+        return None
+    if not _JSON_NUMBERS.issuperset(map(type, scalars)) or not np.isfinite(values).all():
+        return None
+    if values.ndim == 2:
+        return values.astype(np.complex128)
+    return values.view(np.complex128)[..., 0]
+
+
 def _parse_matrix(rows, where: str) -> np.ndarray:
+    """A square matrix of numbers or [re, im] pairs, parsed by numpy in one
+    pass; a matrix it refuses is walked entry by entry, which names the
+    first bad row or entry (or parses a matrix that mixes the two forms)."""
     if not isinstance(rows, list) or not rows:
         raise DocumentError(f"{where}: expected a non-empty list of rows")
+    parsed = _numeric_matrix(rows)
+    if parsed is not None:
+        return parsed
     data = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(rows):

@@ -9,7 +9,8 @@ One check per operator family, each over the whole stack:
 `require_effects` (POVMs, Q sets, effect tables) and `require_projectors`
 (PVMs, spectral decompositions).  One PSD rule, `require_psd_spectra`, and
 one PSD root, `batched_psd_sqrt`, serve the whole package; no other module
-reads tol.psd.
+reads tol.psd.  One batched commutator, `commutator_norms`, serves every
+commutation test.
 
 Everything here is a pure function over immutable numpy arrays; matrices are
 dense complex128 and desk-scale (dim <= 64 by intent, not enforcement).
@@ -39,6 +40,7 @@ __all__ = [
     "batched_psd_sqrt",
     "is_psd",
     "commutator_norm",
+    "commutator_norms",
     "max_entry_norm",
 ]
 
@@ -181,6 +183,17 @@ class SpectralDecomposition:
         frames.setflags(write=False)
         return frames
 
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """G = sum_j (j + 1) P_j, as a read-only (d, d) matrix: one
+        Hermitian matrix with unit spectral gaps whose spectral projectors
+        are the outcome projectors, so two decompositions commute iff their
+        generators do, and ||G||_2 is the outcome count."""
+        weights = np.arange(1.0, len(self.eigenvalues) + 1.0)
+        generator = np.tensordot(weights, self.projectors, axes=1)
+        generator.setflags(write=False)
+        return generator
+
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for val, proj in zip(self.eigenvalues, self.projectors):
@@ -254,12 +267,18 @@ def batched_psd_sqrt(stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray
     all-zero entry whose trace rounds below zero.  An eigenvalue below
     -tol.psd raises.
     """
-    herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+    herm = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(herm)
-    require_psd_spectra(vals, tol)
-    cut = np.clip(tol.psd * vals.sum(axis=-1, keepdims=True), 0.0, tol.psd)
-    root_vals = np.sqrt(np.where(vals < cut, 0.0, vals))
-    return (vecs * root_vals[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    if vals[..., 0].min() < -tol.psd:
+        require_psd_spectra(vals, tol)
+    cut = vals.sum(axis=-1, keepdims=True)
+    cut *= tol.psd
+    np.minimum(np.maximum(cut, 0.0, out=cut), tol.psd, out=cut)
+    vals[vals < cut] = 0.0
+    np.sqrt(vals, out=vals)
+    adjoint = vecs.conj().swapaxes(-1, -2)
+    vecs *= vals[..., None, :]
+    return vecs @ adjoint
 
 
 def is_psd(q, tol: Tolerances = DEFAULT) -> bool:
@@ -270,9 +289,18 @@ def is_psd(q, tol: Tolerances = DEFAULT) -> bool:
     return True
 
 
+def commutator_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-entry magnitudes of A B - B A over two stacks (..., d, d) that
+    broadcast against each other, by one batched product each way: the
+    package's one commutator kernel."""
+    c = a @ b
+    c -= b @ a
+    return np.abs(c.reshape(c.shape[:-2] + (c.shape[-2] * c.shape[-1],))).max(axis=-1)
+
+
 def commutator_norm(a, b) -> float:
     """Max-entry magnitude of AB - BA."""
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
-    return max_entry_norm(ma @ mb - mb @ ma)
+    return float(commutator_norms(ma, mb))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from collapsekit import chain as chain_mod
-from collapsekit import cli, instruments
+from collapsekit import cli, instruments, io
 from collapsekit.cli import build_parser, main
 from collapsekit.collapse_product import (
     FOLD_TREES,
@@ -634,13 +634,43 @@ class TestNumbersInDocuments:
         ([[1, 0], [0, 10**400]], "matrix[1][1]"),
         ([[1, 0], 0], "matrix[1]"),
         ([[1, 0], [0]], "matrix[1]"),
+        ([[1.0, 0.5], [0.5, True]], "matrix[1][1]"),
+        ([[[1, 0], [0, 0]], [[0, 0], [1, False]]], "matrix[1][1][1]"),
+        ([[1, 0], [0, float("nan")]], "matrix[1][1]"),
+        ([[[1, 0], [0, float("inf")]], [[0, 0], [1, 0]]], "matrix[0][1][1]"),
+        ([[1, "0"], [0, 1]], "matrix[0][1]"),
     ], ids=["bools", "string-real-part", "null-real-part", "string-imaginary-part",
-            "past-the-float-range", "row-not-a-list", "ragged-rows"])
+            "past-the-float-range", "row-not-a-list", "ragged-rows", "bool-among-numbers",
+            "bool-among-pairs", "nan", "inf-in-a-pair", "string-among-numbers"])
     def test_observable_entry_exit_2(self, tmp_path, capsys, matrix, where):
         path = write(tmp_path / "obs.json", {"kind": "observable", "matrix": matrix})
         assert main(["decompose", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {path}: {where}:")
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0.5], [0.5, -2]],
+        [[[1, 0], [0.5, -0.25]], [[0.5, 0.25], [-2, 0]]],
+        [[[1, 0], 0.5], [0.5, [-2, -0.0]]],
+        [[10**30, 2**53 + 1], [2**53 + 1, -0.0]],
+    ], ids=["numbers", "pairs", "mixed", "large-integers"])
+    def test_matrix_as_parsed_entry_by_entry(self, matrix):
+        # A matrix of numbers or of pairs is parsed by numpy in one pass; one
+        # mixing the two is walked. Either way every entry is
+        # complex(float(re), float(im)), byte for byte.
+        expected = np.array([[complex(*map(float, v)) if isinstance(v, list) else complex(float(v))
+                              for v in row] for row in matrix])
+        parsed = io._parse_matrix(matrix, "matrix")
+        assert parsed.dtype == np.complex128
+        assert parsed.tobytes() == expected.tobytes()
+
+    def test_numeric_matrix_takes_no_entry_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("an entry was parsed on its own")
+
+        monkeypatch.setattr(io, "_parse_complex", no_walk)
+        for rows in ([[1, 0], [0, 1]], [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]):
+            assert io._parse_matrix(rows, "matrix").shape == (2, 2)
 
     def test_vector_amplitude_refused(self, tmp_path):
         path = write(tmp_path / "vec.json", {"kind": "vector", "amplitudes": [1, [0, True]]})

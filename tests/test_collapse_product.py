@@ -28,6 +28,7 @@ from collapsekit.operator_core import (
     NonHermitianError,
     NotPositiveSemidefiniteError,
     SpectralDecomposition,
+    batched_psd_sqrt,
     commutator_norm,
     require_effects,
 )
@@ -40,6 +41,7 @@ from conftest import (
     random_hermitian,
     random_observable,
     random_psd_stack,
+    random_unitary,
     reference_combine,
 )
 
@@ -269,6 +271,181 @@ class TestCollapsePair:
                 tree = collapse_effect_tree([a, b], Node(Leaf(0), Leaf(1), reverse=reverse))
                 assert np.array_equal(table.effects, tree.effects)
                 assert np.abs(table.effects - reference).max() < 1e-14
+
+
+def shared_basis(rng, dim, values_lists, basis=None):
+    """Observables U diag(values) U^H for each list of values, all on one
+    random basis U (or on `basis`): a mutually commuting family."""
+    u = random_unitary(rng, dim) if basis is None else basis
+    return [observable(f"K{k}", (u * np.asarray(values, dtype=float)) @ u.conj().T)
+            for k, values in enumerate(values_lists)]
+
+
+def plain_products(obs):
+    """The flat stack of the ordinary products P_i1 P_i2 ... P_in."""
+    out = obs[0].projectors
+    for o in obs[1:]:
+        out = out[..., None, :, :] @ o.projectors
+    return out.reshape((-1,) + out.shape[-2:])
+
+
+def no_commuting_pair(a, b):
+    """A commutation test that reports no commuting pair."""
+    return np.full(np.broadcast_shapes(a.shape, b.shape)[:-2], np.inf)
+
+
+def eigensolve_table(monkeypatch, obs, tree):
+    """The table with every non-leaf operand's roots taken by eigensolve."""
+    with monkeypatch.context() as patch:
+        patch.setattr(collapse_product, "commutator_norms", no_commuting_pair)
+        return collapse_effect_tree(obs, tree)
+
+
+def count_roots(monkeypatch):
+    """Record the outcome counts of every stack `batched_psd_sqrt` roots."""
+    calls = []
+
+    def counting(stack, tol=DEFAULT):
+        calls.append(stack.shape[:-2])
+        return batched_psd_sqrt(stack, tol)
+
+    monkeypatch.setattr(collapse_product, "batched_psd_sqrt", counting)
+    return calls
+
+
+def rooted_operands(tree, reach, counts):
+    """The outcome counts of the operands whose roots are taken: those of
+    more than one leaf whose range [lo, hi) passes reach[lo]."""
+    out = []
+
+    def walk(t, lo):
+        if isinstance(t, Leaf):
+            return lo + 1
+        mid = walk(t.left, lo)
+        hi = walk(t.right, mid)
+        a, b = (mid, hi) if t.reverse else (lo, mid)
+        if b - a > 1 and b > reach[a]:
+            out.append(tuple(counts[a:b]))
+        return hi
+
+    walk(tree, 0)
+    return out
+
+
+FLAG_PATTERNS = ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0))
+
+
+class TestCommutingOperands:
+    """An operand whose measurements all commute has projector entries,
+    which are their own roots: it takes no eigensolve."""
+
+    def test_commuting_family_takes_no_root(self, rng, monkeypatch):
+        values = [(0, 0, 1, 1, 2, 2), (0, 1, 1, 1, 1, 2), (0, 0, 0, 1, 1, 1),
+                  (0, 1, 2, 3, 4, 5), (0, 0, 1, 1, 1, 1)]
+        obs = shared_basis(rng, 6, [rng.permutation(v) for v in values])
+        assert collapse_product._commuting_reach(obs) == [5] * 5
+        expected = plain_products(obs)
+        calls = count_roots(monkeypatch)
+        for tree in enumerate_bracketings(5):
+            for flags in FLAG_PATTERNS:
+                table = collapse_effect_tree(obs, with_reverse_nodes(tree, iter(flags)))
+                assert np.abs(table.flat_effects() - expected).max() < 1e-12
+        assert calls == []
+
+    def test_partly_commuting_family_skips_the_commuting_ranges(self, rng, monkeypatch):
+        # A, A' and C on one basis, B on another: only A, A' commute as
+        # neighbours.
+        a, a2, c = shared_basis(rng, 6, [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1, 0, 1),
+                                         (0, 0, 0, 1, 1, 2)])
+        b = degenerate_observable(rng, 6, "B", (0, 0, 0, 1, 1, 1))
+        for obs, reach in (([a, a2, b, c], [2, 2, 3, 4]), ([a, a2, c, b], [3, 3, 3, 4]),
+                           ([a, b, a2, c], [1, 2, 4, 4])):
+            assert collapse_product._commuting_reach(obs) == reach
+            counts = [o.n_outcomes for o in obs]
+            for tree in enumerate_bracketings(4):
+                for flags in FLAG_PATTERNS:
+                    mixed = with_reverse_nodes(tree, iter(flags))
+                    reference = eigensolve_table(monkeypatch, obs, mixed)
+                    with monkeypatch.context() as patch:
+                        calls = count_roots(patch)
+                        table = collapse_effect_tree(obs, mixed)
+                    assert calls == rooted_operands(mixed, reach, counts)
+                    assert np.abs(table.effects - reference.effects).max() < 1e-12
+
+    def test_neighbours_commute_but_not_the_ends(self, rng):
+        # D commutes with A and with E, which do not commute with each other.
+        u = random_unitary(rng, 4)
+        d, a, e = shared_basis(rng, 4, [(0, 0, 1, 1)], u) + [
+            observable(name, u @ np.kron(np.eye(2), m) @ u.conj().T)
+            for name, m in (("A", PAULI_Z), ("E", PAULI_X))]
+        assert collapse_product._commuting_reach([a, d, e]) == [2, 3, 3]
+        assert collapse_product._commuting_reach([a, d, a, d]) == [4, 4, 4, 4]
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_threshold(self, rng, monkeypatch, ratio):
+        # B is turned off the common basis until the larger (0.5) or the
+        # smaller (2.0) of its generator commutators with A and C is `ratio`
+        # times COMMUTING_SLACK * m_a * m_b.
+        basis = random_unitary(rng, 4)
+        vals, vecs = np.linalg.eigh(random_hermitian(rng, 4))
+        values = [(0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 0, 1)]
+
+        def family(angle):
+            turn = (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+            a, b, c = shared_basis(rng, 4, values, basis)
+            return [a, observable("B", turn @ b.matrix() @ turn.conj().T), c]
+
+        def ratios(obs):
+            gens = [o.decomposition.generator for o in obs]
+            return [commutator_norm(gens[k], gens[1]) / (collapse_product.COMMUTING_SLACK
+                                                         * obs[k].n_outcomes * obs[1].n_outcomes)
+                    for k in (0, 2)]
+
+        probe = 1e-9
+        pick = max if ratio < 1 else min
+        obs = family(probe * ratio / pick(ratios(family(probe))))
+        measured = ratios(obs)
+        if ratio < 1:
+            assert max(measured) < 0.75
+            assert collapse_product._commuting_reach(obs) == [3, 3, 3]
+        else:
+            assert min(measured) > 1.5
+            assert collapse_product._commuting_reach(obs) == [1, 2, 3]
+        for tree in enumerate_bracketings(3):
+            for flags in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                mixed = with_reverse_nodes(tree, iter(flags))
+                reference = eigensolve_table(monkeypatch, obs, mixed)
+                table = collapse_effect_tree(obs, mixed)
+                assert np.abs(table.effects - reference.effects).max() < 1e-12
+                if ratio > 1:
+                    assert np.array_equal(table.effects, reference.effects)
+        with monkeypatch.context() as patch:
+            calls = count_roots(patch)
+            collapse_effect_tree(obs, left_fold_tree(3))
+        assert len(calls) == (0 if ratio < 1 else 1)
+
+    def test_trees_that_root_only_leaves_test_no_commutation(self, rng, monkeypatch):
+        def no_test(observables):
+            raise AssertionError("a tree that roots only leaves tested commutation")
+
+        monkeypatch.setattr(collapse_product, "_commuting_reach", no_test)
+        obs = [random_observable(rng, 3, f"A{k}") for k in range(4)]
+        for tree in (right_fold_tree(4), reverse_fold_tree(4)):
+            collapse_effect_tree(obs, tree).check()
+        collapse_effect_pair(obs[0], obs[1]).check()
+        reverse_collapse_pair(obs[0], obs[1]).check()
+
+    def test_noncommuting_tables_byte_identical_to_the_eigensolve_path(self, rng,
+                                                                        monkeypatch):
+        obs = [random_observable(rng, 4, f"A{k}") for k in range(5)]
+        obs[2] = degenerate_observable(rng, 4, "D", (0, 0, 1, 2))
+        assert collapse_product._commuting_reach(obs) == [1, 2, 3, 4, 5]
+        for tree in enumerate_bracketings(5):
+            for flags in FLAG_PATTERNS:
+                mixed = with_reverse_nodes(tree, iter(flags))
+                table = collapse_effect_tree(obs, mixed)
+                reference = eigensolve_table(monkeypatch, obs, mixed)
+                assert np.array_equal(table.effects, reference.effects)
 
 
 class TestBracketings:

@@ -15,6 +15,7 @@ from collapsekit import (
 )
 from collapsekit import equivalence
 from collapsekit.collapse_product import JointDistribution, TableTooLargeError
+from collapsekit.config import DEFAULT
 from collapsekit.equivalence import EquivalenceReport, primed_observable
 from collapsekit.measurement import observable
 from collapsekit.operator_core import commutator_norm
@@ -25,6 +26,7 @@ from conftest import (
     degenerate_observable,
     random_density,
     random_hermitian,
+    random_unitary,
 )
 
 Z = observable("Z", PAULI_Z)
@@ -174,6 +176,26 @@ class TestQndCheck:
 
     def test_noncommuting_family(self):
         assert not qnd_check([Z, X])
+
+    def test_verdicts_of_the_pairwise_loop(self, rng):
+        # 200 families of 1-5 members, as observables or raw matrices, on
+        # one basis, or with one member off it, against a loop over pairs.
+        def reference(members):
+            mats = [m.matrix() if hasattr(m, "matrix") else m for m in members]
+            return all(commutator_norm(mats[i], mats[j]) <= DEFAULT.num
+                       for i in range(len(mats)) for j in range(i + 1, len(mats)))
+
+        verdicts = []
+        for _ in range(200):
+            dim, size = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+            u = random_unitary(rng, dim)
+            mats = [(u * rng.integers(0, 3, size=dim)) @ u.conj().T for _ in range(size)]
+            if rng.random() < 0.5:
+                mats[rng.integers(size)] = random_hermitian(rng, dim)
+            members = [observable("M", m) if rng.random() < 0.5 else m for m in mats]
+            verdicts.append(qnd_check(members))
+            assert verdicts[-1] == reference(members)
+        assert 50 < sum(verdicts) < 150
 
     def test_primed_family_always_passes(self):
         dist = joint_distribution(collapse_effect_pair(Z, X), KET0)
