@@ -93,7 +93,12 @@ from .measurement import (
     ZeroProbabilityOutcomeError,
     clamp_probabilities,
 )
-from .operator_core import DimensionMismatchError, SpectralDecomposition, batched_psd_sqrt
+from .operator_core import (
+    DimensionMismatchError,
+    SpectralDecomposition,
+    batched_psd_sqrt,
+    psd_sqrt_spectra,
+)
 
 __all__ = [
     "ChainSpec",
@@ -406,9 +411,10 @@ def _frames(first: SpectralDecomposition, heads: np.ndarray, density: np.ndarray
     width = int(rank.max())
     frames = first.frames[heads, :, :width]
     states = frames.conj().swapaxes(1, 2) @ density @ frames
-    # P / Tr P in its frame is diagonal: I_r / r, then zero padding.
+    # P / Tr P in its frame is diagonal, I_r / r then zero padding, and so
+    # is its root.
     diagonal = np.where(np.arange(width) < rank[:, None], 1.0 / rank[:, None], 0.0)
-    roots = batched_psd_sqrt(np.eye(width, dtype=np.complex128) * diagonal[:, None], tol)
+    roots = np.eye(width, dtype=np.complex128) * psd_sqrt_spectra(diagonal, tol)[:, None]
     return frames, states, roots, rank > 1
 
 

@@ -20,23 +20,18 @@ A node takes the w x w roots of one operand, brings the other in through the
 overlaps of the two frames, and sandwiches; the root node's sandwich gives
 the d x d entries directly.
 
-An operand whose measurements all commute is its own root and takes no
-eigensolve: each of its entries is a product of commuting projectors,
-hence a projector P with sqrt(P) = P, and X o Y reduces to the ordinary
-product XY (the no-collapse, QND case).  A leaf is the simplest such
-operand, so the pair tables, the trees `Node(Leaf(0), Leaf(1))` and its
-reverse, take no eigensolve at all; nor does any bracketing of a family
-that commutes pairwise, such as one observable measured again and again.
-`collapse_effect_tree` finds, at most once per call, how far each leaf's
-run of pairwise commuting observables reaches (`_commuting_reach`, a test
-of their generators against `COMMUTING_SLACK`), and a node takes its
-operand's coefficients as their own roots when the operand's leaves lie
-within that reach.  `sequential_product` and the Q-relative collapse,
-whose operands are not projectors, run the same kernel in the trivial
-frame I_d and always take roots.  The roots are `batched_psd_sqrt`, as in
-the step sampler, whose cut is relative to each entry's trace, so a change
-of frame leaves it unchanged, and deep entries whose whole mass is below
-tol.psd keep their genuine small eigenvalues.
+An operand whose entries are all projectors, as when its measurements all
+commute, is its own root, sqrt(P) = P, and takes no eigensolve: X o Y is
+then the ordinary product XY (the no-collapse, QND case).  `_combine` tests
+this on the coefficients it holds, all or nothing (`PROJECTOR_SLACK`), so a
+passing test certifies itself whatever the observables.  A leaf is such an
+operand and is not tested, so the pair tables and the right and reverse
+folds, which root only leaves, run no test and take no eigensolve.
+`sequential_product` and the Q-relative collapse run the same kernel in the
+trivial frame I_d.  Other roots are `batched_psd_sqrt`, as in the step
+sampler, whose cut is relative to each entry's trace, so a change of frame
+leaves it unchanged, and deep entries whose whole mass is below tol.psd
+keep their genuine small eigenvalues.
 
 The size policy lives here too: `require_table_size` admits an array only up
 to `MAX_TABLE_BYTES` and 32 axes.  `collapse_effect_tree` (the pair
@@ -66,7 +61,6 @@ from .operator_core import (
     DimensionMismatchError,
     as_matrix,
     batched_psd_sqrt,
-    commutator_norms,
     max_entry_norm,
     require_effects,
     require_hermitian,
@@ -300,48 +294,6 @@ class JointEffectTable:
         require_effects(self.flat_effects(), tol)
 
 
-# Two observables count as commuting when the largest entry of the
-# commutator of their generators (`SpectralDecomposition.generator`) is at
-# most COMMUTING_SLACK * m_a * m_b, where m = ||G||_2 is the outcome count:
-# 64 rounding units relative to ||G_a|| ||G_b||.  Observables built on one
-# eigenbasis pass with room to spare, since their projectors carry only an
-# eigensolve's rounding; their generator commutators measured at most
-# 2.4 eps m_a m_b on unit-gap families up to d = 64.  The guarantee: each
-# generator's eigenvalues are 1 apart, so ||[P, B]||_2 <= ||[G, B]||_2 for
-# every spectral projector P of G and any B.  Applied twice, and with
-# ||X||_2 <= d max |X_ij|, a passing pair has ||[P_i, Q_j]||_2 <= d *
-# COMMUTING_SLACK * m_a * m_b for all its projectors, and products of them
-# are projectors to that order.
-COMMUTING_SLACK = 64 * np.finfo(float).eps
-
-
-def _commuting_reach(observables: list) -> list:
-    """reach[lo], for each lo: the largest hi such that observables lo ..
-    hi - 1 commute pairwise.  Every entry of a sub-table over such a range
-    is a product of commuting projectors, hence a projector and its own
-    root.  The n - 1 adjacent pairs are tested in one batched product, and
-    only if some of them commute are the other pairs tested, in one more."""
-    n = len(observables)
-    gens = np.array([o.decomposition.generator for o in observables])
-    m = np.array([o.n_outcomes for o in observables], dtype=float)
-    adjacent = (commutator_norms(gens[:-1], gens[1:])
-                <= COMMUTING_SLACK * m[:-1] * m[1:]).tolist()
-    reach = list(range(1, n + 1))
-    if not any(adjacent):
-        return reach
-    pairs = [(a, b) for a in range(n) for b in range(a + 2, n)]
-    i, j = [a for a, _ in pairs], [b for _, b in pairs]
-    far = commutator_norms(gens[i], gens[j]) <= COMMUTING_SLACK * m[i] * m[j]
-    commutes = dict(zip(pairs, far.tolist()))
-    for lo in reversed(range(n - 1)):
-        if adjacent[lo]:
-            hi = lo + 2
-            while hi < reach[lo + 1] and commutes[lo, hi]:
-                hi += 1
-            reach[lo] = hi
-    return reach
-
-
 class _Framed(NamedTuple):
     """A sub-table in the frames of its lead's outcomes.  Entry t is
     V C(t) V^H, where V (d, w) is the frame of t's outcome on the lead axis.
@@ -368,8 +320,26 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+# The largest max |C C - C| of a coefficient block C counted as a projector:
+# 2**14 rounding units, over 100 times the largest defect measured on
+# products of commuting projectors (110.5 eps, seeded families up to d = 64)
+# and far below tol.psd; non-commuting ones measured 0.09 and more.  For
+# Hermitian C of width w and defect delta, each eigenvalue l has |l^2 - l|
+# <= w delta, so sqrt(l) = l to O(w delta) and taking C for its root moves
+# the sandwiched entries by O(w delta).
+PROJECTOR_SLACK = 2**14 * np.finfo(float).eps
+
+
+def _own_roots(coeffs: np.ndarray) -> bool:
+    """Whether every block C of a coefficient stack (..., w, w) is a
+    projector within PROJECTOR_SLACK, and so its own root."""
+    defect = coeffs @ coeffs
+    defect -= coeffs
+    return bool(np.abs(defect).max() <= PROJECTOR_SLACK)
+
+
 def _combine(x: _Framed, y: _Framed, x_left: bool, expand: bool,
-             tol: Tolerances, own_root: bool = False) -> _Framed | np.ndarray:
+             tol: Tolerances) -> _Framed | np.ndarray:
     """The entrywise sequential product sqrt(X) Y sqrt(X) of every entry of
     x (the operand whose roots are taken) with every entry of y, axes in
     (left, right) order with x on the left when `x_left`.
@@ -377,17 +347,17 @@ def _combine(x: _Framed, y: _Framed, x_left: bool, expand: bool,
     X = V S^2 V^H for its root S in x's frame V, so the product is V T D T^H
     V^H in V, with T = S V^H W through y's frame W and D the coefficients
     of y: T is formed once per (x entry, y lead outcome) and broadcast over
-    y's other axes.  With `own_root` every entry of x is a projector, so its
-    coefficients are their own root, S = C; a leaf's coefficients diag(1_r,
-    0) always are, and the padded rows and columns of V^H W are zero, so a
-    leaf x gives T = V^H W and a leaf y gives T T^H.  The result keeps x's
-    frames, or with `expand` is the d x d entry table, from T = V S V^H W."""
+    y's other axes.  Coefficients that are projectors (`_own_roots`) are
+    their own root, S = C; a leaf's, diag(1_r, 0), always are, and the padded
+    rows and columns of V^H W are zero, so a leaf x gives T = V^H W and a
+    leaf y gives T T^H.  The result keeps x's frames, or with `expand` is
+    the d x d entry table, from T = V S V^H W."""
     def place(a, trailing):
         return a.reshape(a.shape[:-2] + (1,) * trailing + a.shape[-2:])
 
     fx, fy, cy = x.frames, y.frames, y.coeffs
     roots = x.coeffs
-    if roots is not None and not own_root:
+    if roots is not None and not _own_roots(roots):
         roots = batched_psd_sqrt(roots, tol)
     if x_left:
         fx = place(fx, y.ndim)
@@ -446,29 +416,16 @@ def collapse_effect_tree(observables: list, tree: BracketTree,
     axes = [np.asarray(o.sample_space) for o in observables]
     if isinstance(tree, Leaf):
         return JointEffectTable(axes, observables[0].projectors)
-    reach = []
 
-    def own_root(lo: int, hi: int) -> bool:
-        """Whether the operand over leaves lo .. hi - 1 is its own root.  A
-        leaf is; the reach is found at the first operand of more leaves, so
-        trees that root only leaves (the pairs, the right and reverse
-        folds) never test commutation."""
-        if hi - lo > 1 and not reach:
-            reach.extend(_commuting_reach(observables))
-        return hi - lo == 1 or hi <= reach[lo]
-
-    def eval_tree(t: BracketTree, lo: int, expand: bool):
-        """The sub-table of `t`, whose leaves start at `lo`, and the end of
-        its leaf range."""
+    def eval_tree(t: BracketTree, expand: bool):
         if isinstance(t, Leaf):
-            return _Framed(None, observables[lo].decomposition.frames), lo + 1
-        left, mid = eval_tree(t.left, lo, False)
-        right, hi = eval_tree(t.right, mid, False)
+            return _Framed(None, observables[t.index].decomposition.frames)
+        left, right = eval_tree(t.left, False), eval_tree(t.right, False)
         if t.reverse:
-            return _combine(right, left, False, expand, tol, own_root(mid, hi)), hi
-        return _combine(left, right, True, expand, tol, own_root(lo, mid)), hi
+            return _combine(right, left, False, expand, tol)
+        return _combine(left, right, True, expand, tol)
 
-    return JointEffectTable(axes, eval_tree(tree, 0, True)[0])
+    return JointEffectTable(axes, eval_tree(tree, True))
 
 
 def q_relative_collapse(e_a: POVM, e_b: POVM, kappa_a, kappa_b, qs,

@@ -20,7 +20,7 @@ from .operator_core import (
     DimensionMismatchError,
     SpectralDecomposition,
     as_matrix,
-    commutator_norms,
+    commute,
 )
 
 __all__ = [
@@ -147,15 +147,13 @@ def verify_equivalence(model: CommutativeModel, dist: JointDistribution,
 
 
 def qnd_check(observables: list, tol: Tolerances = DEFAULT) -> bool:
-    """True iff every pair of observables commutes within tolerance: the
-    max-entry norm of each commutator is at most tol.num.  Each matrix is
-    tested against all later ones in one batched product."""
+    """True iff every pair of observables commutes (`commute`).  Each matrix
+    is tested against all later ones in one batched product."""
     mats = [as_matrix(o.matrix() if isinstance(o, Observable) else o) for o in observables]
     if len({m.shape for m in mats}) > 1:
         raise DimensionMismatchError("observables act on different dimensions")
     stack = np.array(mats)
-    return all(commutator_norms(stack[k], stack[k + 1:]).max() <= tol.num
-               for k in range(len(stack) - 1))
+    return all(commute(stack[k], stack[k + 1:], tol) for k in range(len(stack) - 1))
 
 
 def primed_observable(model: CommutativeModel, k: int) -> Observable:

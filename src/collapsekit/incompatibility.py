@@ -19,7 +19,7 @@ import numpy as np
 from .collapse_product import JointDistribution
 from .config import DEFAULT, Tolerances
 from .measurement import AlgebraicState, Observable, clamp_probabilities
-from .operator_core import commutator_norm
+from .operator_core import commute
 from .rational_lp import feasibility_lp
 
 __all__ = [
@@ -249,8 +249,7 @@ def noncommutative_unifying_state(
     constraint operators are Hermitian.  Alternating projections between the
     affine constraint set and the PSD cone; exhausting the budget reports
     inconclusive rather than infeasible."""
-    if commutator_norm(x.matrix(), a.matrix()) > tol.num or \
-            commutator_norm(x.matrix(), b.matrix()) > tol.num:
+    if not (commute(x.matrix(), a.matrix(), tol) and commute(x.matrix(), b.matrix(), tol)):
         raise ValueError("X must commute with A and with B")
     dim = x.dim
     products = [np.eye(dim, dtype=np.complex128)[None]]

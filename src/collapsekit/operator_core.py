@@ -8,9 +8,10 @@ so consumers index, slice and contract it without re-stacking or copying.
 One check per operator family, each over the whole stack:
 `require_effects` (POVMs, Q sets, effect tables) and `require_projectors`
 (PVMs, spectral decompositions).  One PSD rule, `require_psd_spectra`, and
-one PSD root, `batched_psd_sqrt`, serve the whole package; no other module
-reads tol.psd.  One batched commutator, `commutator_norms`, serves every
-commutation test.
+one PSD root, `batched_psd_sqrt` with its cut `psd_sqrt_spectra`, serve the
+whole package; no other module reads tol.psd.  One commutation rule,
+`commute`, on the one batched commutator `commutator_norms`, serves every
+commutation test; no other module computes a commutator.
 
 Everything here is a pure function over immutable numpy arrays; matrices are
 dense complex128 and desk-scale (dim <= 64 by intent, not enforcement).
@@ -37,10 +38,12 @@ __all__ = [
     "require_psd_spectra",
     "spectral_decompose",
     "psd_sqrt",
+    "psd_sqrt_spectra",
     "batched_psd_sqrt",
     "is_psd",
     "commutator_norm",
     "commutator_norms",
+    "commute",
     "max_entry_norm",
 ]
 
@@ -183,17 +186,6 @@ class SpectralDecomposition:
         frames.setflags(write=False)
         return frames
 
-    @cached_property
-    def generator(self) -> np.ndarray:
-        """G = sum_j (j + 1) P_j, as a read-only (d, d) matrix: one
-        Hermitian matrix with unit spectral gaps whose spectral projectors
-        are the outcome projectors, so two decompositions commute iff their
-        generators do, and ||G||_2 is the outcome count."""
-        weights = np.arange(1.0, len(self.eigenvalues) + 1.0)
-        generator = np.tensordot(weights, self.projectors, axes=1)
-        generator.setflags(write=False)
-        return generator
-
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for val, proj in zip(self.eigenvalues, self.projectors):
@@ -257,25 +249,32 @@ def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
     return batched_psd_sqrt(require_hermitian(q, tol), tol)
 
 
+def psd_sqrt_spectra(vals: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """The square roots of PSD spectra (..., d), in place, past the package's
+    one cut: each spectrum of sum T zeroes its values below clip(tol.psd * T,
+    0, tol.psd).  Eigensolver noise gets no root, yet below unit trace the
+    root is scale-free, sqrt(c X) = sqrt(c) sqrt(X); the clip at 0 spares an
+    all-zero matrix whose trace rounds below zero."""
+    cut = vals.sum(axis=-1, keepdims=True)
+    cut *= tol.psd
+    np.minimum(np.maximum(cut, 0.0, out=cut), tol.psd, out=cut)
+    vals[vals < cut] = 0.0
+    return np.sqrt(vals, out=vals)
+
+
 def batched_psd_sqrt(stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """PSD square roots of a stack (..., d, d) of Hermitian matrices: the
     one PSD root of the package.
 
-    Each matrix X zeroes its eigenvalues below clip(tol.psd * Tr X, 0,
-    tol.psd): eigensolver noise gets no root, yet below unit trace the root
-    is scale-free, sqrt(c X) = sqrt(c) sqrt(X).  The clip at 0 spares an
-    all-zero entry whose trace rounds below zero.  An eigenvalue below
-    -tol.psd raises.
+    Each matrix takes the roots of its eigenvalues by `psd_sqrt_spectra`,
+    whose cut zeroes eigensolver noise.  An eigenvalue below -tol.psd
+    raises.
     """
     herm = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(herm)
     if vals[..., 0].min() < -tol.psd:
         require_psd_spectra(vals, tol)
-    cut = vals.sum(axis=-1, keepdims=True)
-    cut *= tol.psd
-    np.minimum(np.maximum(cut, 0.0, out=cut), tol.psd, out=cut)
-    vals[vals < cut] = 0.0
-    np.sqrt(vals, out=vals)
+    psd_sqrt_spectra(vals, tol)
     adjoint = vecs.conj().swapaxes(-1, -2)
     vecs *= vals[..., None, :]
     return vecs @ adjoint
@@ -304,3 +303,14 @@ def commutator_norm(a, b) -> float:
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
     return float(commutator_norms(ma, mb))
+
+
+def commute(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
+    """Whether A B = B A for every pair of matrices of two stacks (..., d, d)
+    that broadcast together: the package's one commutation rule.  Rounding
+    grows with scale, so each commutator's largest entry may be at most
+    tol.num * max(1, max|A| max|B|).  Sizes that differ raise."""
+    if a.shape[-2:] != b.shape[-2:]:
+        raise DimensionMismatchError(f"matrices of {a.shape[-2:]} and {b.shape[-2:]}")
+    scale = np.abs(a).max(axis=(-2, -1)) * np.abs(b).max(axis=(-2, -1))
+    return bool((commutator_norms(a, b) <= tol.num * np.maximum(scale, 1.0)).all())

@@ -37,7 +37,7 @@ from collapsekit.measurement import (
     discretize_observable,
     observable,
 )
-from collapsekit.operator_core import DimensionMismatchError
+from collapsekit.operator_core import DimensionMismatchError, batched_psd_sqrt
 
 from conftest import (
     PAULI_X,
@@ -934,6 +934,23 @@ class TestFirstOutcomeRange:
                        for i, (u, s) in enumerate(zip(bases, spectra))]
         check_against_reference(ChainSpec(observables, 32, seed=8032),
                                 random_density(rng, 8), runs=300)
+
+    @pytest.mark.parametrize("psd", [1e-9, 0.3, 0.6, 1.5])
+    def test_starting_roots_without_an_eigensolve(self, rng, psd):
+        # sqrt(P / Tr P) in its frame is diagonal; its closed form matches the
+        # eigensolve root byte for byte, the PSD cut included.
+        tol = Tolerances(psd=psd)
+        for _ in range(40):
+            dim = int(rng.integers(1, 9))
+            first = degenerate_observable(rng, dim, "F", rng.integers(0, 3, size=dim))
+            heads = rng.integers(0, first.n_outcomes, size=int(rng.integers(1, 6)))
+            roots = chain._frames(first.decomposition, heads, np.eye(dim) / dim, tol)[2]
+            rank = first.decomposition.ranks[heads]
+            width = int(rank.max())
+            diagonal = np.where(np.arange(width) < rank[:, None], 1.0 / rank[:, None], 0.0)
+            expected = batched_psd_sqrt(np.eye(width, dtype=np.complex128) * diagonal[:, None],
+                                        tol)
+            assert np.array_equal(roots, expected)
 
     def test_vanished_mass_rank_one_first(self):
         # A rank-one first outcome leaves the unit-trace effect [1] on its

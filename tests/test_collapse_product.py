@@ -289,15 +289,10 @@ def plain_products(obs):
     return out.reshape((-1,) + out.shape[-2:])
 
 
-def no_commuting_pair(a, b):
-    """A commutation test that reports no commuting pair."""
-    return np.full(np.broadcast_shapes(a.shape, b.shape)[:-2], np.inf)
-
-
 def eigensolve_table(monkeypatch, obs, tree):
     """The table with every non-leaf operand's roots taken by eigensolve."""
     with monkeypatch.context() as patch:
-        patch.setattr(collapse_product, "commutator_norms", no_commuting_pair)
+        patch.setattr(collapse_product, "_own_roots", lambda coeffs: False)
         return collapse_effect_tree(obs, tree)
 
 
@@ -313,9 +308,10 @@ def count_roots(monkeypatch):
     return calls
 
 
-def rooted_operands(tree, reach, counts):
+def rooted_operands(tree, commute, counts):
     """The outcome counts of the operands whose roots are taken: those of
-    more than one leaf whose range [lo, hi) passes reach[lo]."""
+    more than one leaf with a pair of leaves i < j for which `commute(i, j)`
+    is false, as known from how the observables were built."""
     out = []
 
     def walk(t, lo):
@@ -324,7 +320,7 @@ def rooted_operands(tree, reach, counts):
         mid = walk(t.left, lo)
         hi = walk(t.right, mid)
         a, b = (mid, hi) if t.reverse else (lo, mid)
-        if b - a > 1 and b > reach[a]:
+        if not all(commute(i, j) for i in range(a, b) for j in range(i + 1, b)):
             out.append(tuple(counts[a:b]))
         return hi
 
@@ -332,18 +328,34 @@ def rooted_operands(tree, reach, counts):
     return out
 
 
+def turned_family(rng, basis, angle):
+    """A, B and C on one basis, with B turned off it by exp(i angle H) for a
+    random Hermitian H of unit norm."""
+    h = random_hermitian(rng, 4)
+    vals, vecs = np.linalg.eigh(h / np.abs(np.linalg.eigvalsh(h)).max())
+    turn = (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+    a, b, c = shared_basis(rng, 4, [(0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 0, 1)], basis)
+    return [a, observable("B", turn @ b.matrix() @ turn.conj().T), c]
+
+
+def projector_commutator(obs):
+    """The largest entry of [P, Q] over the projectors of every pair."""
+    return max(np.abs(p @ q - q @ p).max()
+               for k, a in enumerate(obs) for b in obs[k + 1:]
+               for p in a.projectors for q in b.projectors)
+
+
 FLAG_PATTERNS = ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0))
 
 
 class TestCommutingOperands:
-    """An operand whose measurements all commute has projector entries,
-    which are their own roots: it takes no eigensolve."""
+    """An operand whose entries are all projectors, as when its measurements
+    all commute, is its own root: it takes no eigensolve."""
 
     def test_commuting_family_takes_no_root(self, rng, monkeypatch):
         values = [(0, 0, 1, 1, 2, 2), (0, 1, 1, 1, 1, 2), (0, 0, 0, 1, 1, 1),
                   (0, 1, 2, 3, 4, 5), (0, 0, 1, 1, 1, 1)]
         obs = shared_basis(rng, 6, [rng.permutation(v) for v in values])
-        assert collapse_product._commuting_reach(obs) == [5] * 5
         expected = plain_products(obs)
         calls = count_roots(monkeypatch)
         for tree in enumerate_bracketings(5):
@@ -353,14 +365,13 @@ class TestCommutingOperands:
         assert calls == []
 
     def test_partly_commuting_family_skips_the_commuting_ranges(self, rng, monkeypatch):
-        # A, A' and C on one basis, B on another: only A, A' commute as
-        # neighbours.
+        # A, A' and C on one basis, B on another: B commutes with none of
+        # them, so an operand is rooted exactly when it holds B and another.
         a, a2, c = shared_basis(rng, 6, [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1, 0, 1),
                                          (0, 0, 0, 1, 1, 2)])
         b = degenerate_observable(rng, 6, "B", (0, 0, 0, 1, 1, 1))
-        for obs, reach in (([a, a2, b, c], [2, 2, 3, 4]), ([a, a2, c, b], [3, 3, 3, 4]),
-                           ([a, b, a2, c], [1, 2, 4, 4])):
-            assert collapse_product._commuting_reach(obs) == reach
+        for obs in ([a, a2, b, c], [a, a2, c, b], [a, b, a2, c]):
+            shared = [o is not b for o in obs]
             counts = [o.n_outcomes for o in obs]
             for tree in enumerate_bracketings(4):
                 for flags in FLAG_PATTERNS:
@@ -369,66 +380,70 @@ class TestCommutingOperands:
                     with monkeypatch.context() as patch:
                         calls = count_roots(patch)
                         table = collapse_effect_tree(obs, mixed)
-                    assert calls == rooted_operands(mixed, reach, counts)
+                    assert calls == rooted_operands(mixed, lambda i, j: shared[i] and shared[j],
+                                                    counts)
                     assert np.abs(table.effects - reference.effects).max() < 1e-12
 
-    def test_neighbours_commute_but_not_the_ends(self, rng):
+    def test_neighbours_commute_but_not_the_ends(self, rng, monkeypatch):
         # D commutes with A and with E, which do not commute with each other.
         u = random_unitary(rng, 4)
         d, a, e = shared_basis(rng, 4, [(0, 0, 1, 1)], u) + [
             observable(name, u @ np.kron(np.eye(2), m) @ u.conj().T)
             for name, m in (("A", PAULI_Z), ("E", PAULI_X))]
-        assert collapse_product._commuting_reach([a, d, e]) == [2, 3, 3]
-        assert collapse_product._commuting_reach([a, d, a, d]) == [4, 4, 4, 4]
+        for obs in ([a, d, e], [a, d, a, d]):
+            names = [o.name for o in obs]
+            counts = [o.n_outcomes for o in obs]
+            for tree in enumerate_bracketings(len(obs)):
+                for flags in FLAG_PATTERNS:
+                    mixed = with_reverse_nodes(tree, iter(flags))
+                    with monkeypatch.context() as patch:
+                        calls = count_roots(patch)
+                        table = collapse_effect_tree(obs, mixed)
+                    assert calls == rooted_operands(
+                        mixed, lambda i, j: {names[i], names[j]} != {"A", "E"}, counts)
+                    table.check()
 
-    @pytest.mark.parametrize("ratio", [0.5, 2.0])
-    def test_threshold(self, rng, monkeypatch, ratio):
-        # B is turned off the common basis until the larger (0.5) or the
-        # smaller (2.0) of its generator commutators with A and C is `ratio`
-        # times COMMUTING_SLACK * m_a * m_b.
+    def test_near_commuting_families_take_no_root(self, rng, monkeypatch):
+        # B turned off the common basis by commutators from rounding to 1e-8:
+        # every operand's entries are projectors to within the square of the
+        # commutator, so none is rooted, and the tables stay within 1e-12 of
+        # the eigensolve path.
         basis = random_unitary(rng, 4)
-        vals, vecs = np.linalg.eigh(random_hermitian(rng, 4))
-        values = [(0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 0, 1)]
+        probe = projector_commutator(turned_family(np.random.default_rng(7), basis, 1e-6))
+        measured = []
+        for target in (1e-15, 1e-13, 1e-11, 1e-9, 1e-8):
+            obs = turned_family(np.random.default_rng(7), basis, 1e-6 * target / probe)
+            measured.append(projector_commutator(obs))
+            for tree in enumerate_bracketings(3):
+                for flags in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                    mixed = with_reverse_nodes(tree, iter(flags))
+                    reference = eigensolve_table(monkeypatch, obs, mixed)
+                    with monkeypatch.context() as patch:
+                        calls = count_roots(patch)
+                        table = collapse_effect_tree(obs, mixed)
+                    assert calls == []
+                    assert np.abs(table.effects - reference.effects).max() < 1e-12
+        assert min(measured) < 1e-14 and 5e-9 < max(measured) < 2e-8
 
-        def family(angle):
-            turn = (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
-            a, b, c = shared_basis(rng, 4, values, basis)
-            return [a, observable("B", turn @ b.matrix() @ turn.conj().T), c]
-
-        def ratios(obs):
-            gens = [o.decomposition.generator for o in obs]
-            return [commutator_norm(gens[k], gens[1]) / (collapse_product.COMMUTING_SLACK
-                                                         * obs[k].n_outcomes * obs[1].n_outcomes)
-                    for k in (0, 2)]
-
-        probe = 1e-9
-        pick = max if ratio < 1 else min
-        obs = family(probe * ratio / pick(ratios(family(probe))))
-        measured = ratios(obs)
-        if ratio < 1:
-            assert max(measured) < 0.75
-            assert collapse_product._commuting_reach(obs) == [3, 3, 3]
-        else:
-            assert min(measured) > 1.5
-            assert collapse_product._commuting_reach(obs) == [1, 2, 3]
+    def test_clearly_noncommuting_turn_takes_every_root(self, rng, monkeypatch):
+        obs = turned_family(rng, random_unitary(rng, 4), 0.3)
+        assert projector_commutator(obs) > 1e-2
+        counts = [o.n_outcomes for o in obs]
         for tree in enumerate_bracketings(3):
             for flags in ((0, 0), (1, 0), (0, 1), (1, 1)):
                 mixed = with_reverse_nodes(tree, iter(flags))
                 reference = eigensolve_table(monkeypatch, obs, mixed)
-                table = collapse_effect_tree(obs, mixed)
-                assert np.abs(table.effects - reference.effects).max() < 1e-12
-                if ratio > 1:
-                    assert np.array_equal(table.effects, reference.effects)
-        with monkeypatch.context() as patch:
-            calls = count_roots(patch)
-            collapse_effect_tree(obs, left_fold_tree(3))
-        assert len(calls) == (0 if ratio < 1 else 1)
+                with monkeypatch.context() as patch:
+                    calls = count_roots(patch)
+                    table = collapse_effect_tree(obs, mixed)
+                assert calls == rooted_operands(mixed, lambda i, j: 1 not in (i, j), counts)
+                assert np.array_equal(table.effects, reference.effects)
 
     def test_trees_that_root_only_leaves_test_no_commutation(self, rng, monkeypatch):
-        def no_test(observables):
-            raise AssertionError("a tree that roots only leaves tested commutation")
+        def no_test(coeffs):
+            raise AssertionError("a tree that roots only leaves ran the projector test")
 
-        monkeypatch.setattr(collapse_product, "_commuting_reach", no_test)
+        monkeypatch.setattr(collapse_product, "_own_roots", no_test)
         obs = [random_observable(rng, 3, f"A{k}") for k in range(4)]
         for tree in (right_fold_tree(4), reverse_fold_tree(4)):
             collapse_effect_tree(obs, tree).check()
@@ -439,13 +454,26 @@ class TestCommutingOperands:
                                                                         monkeypatch):
         obs = [random_observable(rng, 4, f"A{k}") for k in range(5)]
         obs[2] = degenerate_observable(rng, 4, "D", (0, 0, 1, 2))
-        assert collapse_product._commuting_reach(obs) == [1, 2, 3, 4, 5]
+        counts = [o.n_outcomes for o in obs]
         for tree in enumerate_bracketings(5):
             for flags in FLAG_PATTERNS:
                 mixed = with_reverse_nodes(tree, iter(flags))
-                table = collapse_effect_tree(obs, mixed)
                 reference = eigensolve_table(monkeypatch, obs, mixed)
+                with monkeypatch.context() as patch:
+                    calls = count_roots(patch)
+                    table = collapse_effect_tree(obs, mixed)
+                assert calls == rooted_operands(mixed, lambda i, j: False, counts)
                 assert np.array_equal(table.effects, reference.effects)
+
+    def test_projector_left_operand_of_the_single_product(self, rng, monkeypatch):
+        # X o Y = P Y P for a projector X = P, with no root taken.
+        calls = count_roots(monkeypatch)
+        for dim, values in ((2, [0, 1]), (5, [0, 0, 1, 2, 2]), (6, np.arange(6))):
+            a = degenerate_observable(rng, dim, "A", values)
+            y = random_hermitian(rng, dim)
+            for p in a.projectors:
+                assert np.abs(sequential_product(p, y) - p @ y @ p).max() < 1e-15
+        assert calls == []
 
 
 class TestBracketings:

@@ -177,12 +177,22 @@ class TestQndCheck:
     def test_noncommuting_family(self):
         assert not qnd_check([Z, X])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 1e6])
+    def test_one_basis_commutes_at_any_scale(self, rng, scale):
+        u = random_unitary(rng, 4)
+        obs = [observable(f"A{k}", scale * (u * np.array(v, dtype=float)) @ u.conj().T)
+               for k, v in enumerate(((0, 1, 2, 3), (3, 1, 0, 2), (1, 1, 0, 0)))]
+        assert qnd_check(obs)
+        assert not qnd_check(obs + [observable("B", scale * random_hermitian(rng, 4))])
+
     def test_verdicts_of_the_pairwise_loop(self, rng):
         # 200 families of 1-5 members, as observables or raw matrices, on
-        # one basis, or with one member off it, against a loop over pairs.
+        # one basis, or with one member off it, against a loop over pairs
+        # with the scale-relative bound.
         def reference(members):
             mats = [m.matrix() if hasattr(m, "matrix") else m for m in members]
-            return all(commutator_norm(mats[i], mats[j]) <= DEFAULT.num
+            return all(commutator_norm(mats[i], mats[j])
+                       <= DEFAULT.num * max(1.0, np.abs(mats[i]).max() * np.abs(mats[j]).max())
                        for i in range(len(mats)) for j in range(i + 1, len(mats)))
 
         verdicts = []

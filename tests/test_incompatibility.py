@@ -599,6 +599,16 @@ class TestNoncommutativeUnifyingState:
         assert result.status == "inconclusive"
         assert result.residual > 1e-9
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6])
+    def test_commuting_x_accepted_at_any_scale(self, rng, scale):
+        u = random_unitary(rng, 4)
+        x, a, b = (observable(name, scale * (u * np.array(v, dtype=float)) @ u.conj().T)
+                   for name, v in (("X", (0, 0, 1, 1)), ("A", (0, 1, 0, 1)),
+                                   ("B", (0, 1, 1, 0))))
+        dist = _pair_dist([[0.25, 0.25], [0.25, 0.25]])
+        result = noncommutative_unifying_state(dist, dist, x, a, b, max_iter=10)
+        assert result.status in ("found", "inconclusive")
+
     def test_noncommuting_x_rejected(self):
         z = observable("Z", np.diag([-1.0, 1.0]))
         x = observable("X", np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -2,9 +2,11 @@
 another module, so every name shared between modules is public and listed in
 its module's `__all__`; no module but `operator_core` reads the PSD slack
 `.psd`, so the rule "PSD within tol.psd" and the root's cut are written in
-one place; and no module but `collapse_product`, `chain` and the package's
+one place; no module but `collapse_product`, `chain` and the package's
 re-export imports the effect-table builder or its trace, so `chain` alone
-decides which code computes a named fold's law."""
+decides which code computes a named fold's law; and no module but
+`operator_core` calls a commutator kernel, so every commutation test goes
+through its one rule, `commute`."""
 
 import ast
 from pathlib import Path
@@ -119,4 +121,42 @@ def test_detects_table_imports():
         "<source>:1: collapse_effect_tree",
         "<source>:5: joint_distribution",
         "<source>:7: collapse_effect_tree",
+    ]
+
+
+COMMUTATOR_NAMES = ("commutator_norm", "commutator_norms")
+
+
+def commutator_uses(source: str, filename: str = "<source>") -> list:
+    """Lines that read `commutator_norm` or `commutator_norms`, by name or as
+    a module attribute, to call them or to alias them; importing a name, as
+    the package's re-export does, is not a use."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in COMMUTATOR_NAMES and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, name))
+    return [f"{filename}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "operator_core.py"],
+                         ids=lambda p: p.name)
+def test_only_operator_core_computes_a_commutator(path):
+    assert commutator_uses(path.read_text(), path.name) == []
+
+
+def test_detects_commutator_uses():
+    source = (
+        "from .operator_core import commutator_norm, commute\n"
+        "if commutator_norm(a, b) > tol.num:\n"
+        "    pass\n"
+        "norms = operator_core.commutator_norms(gens[:-1], gens[1:])\n"
+        "kernel = commutator_norms\n"
+        "ok = commute(a, b, tol)\n"
+    )
+    assert commutator_uses(source) == [
+        "<source>:2: commutator_norm",
+        "<source>:4: commutator_norms",
+        "<source>:5: commutator_norms",
     ]

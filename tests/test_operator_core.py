@@ -10,13 +10,14 @@ from collapsekit.operator_core import (
     NotPositiveSemidefiniteError,
     batched_psd_sqrt,
     commutator_norm,
+    commute,
     is_psd,
     psd_sqrt,
     require_effects,
     spectral_decompose,
 )
 
-from conftest import PAULI_X, PAULI_Z, random_hermitian, random_psd_stack
+from conftest import PAULI_X, PAULI_Z, random_hermitian, random_psd_stack, random_unitary
 
 
 class TestSpectralDecompose:
@@ -182,3 +183,28 @@ class TestCommutatorNorm:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             commutator_norm(np.eye(2), np.eye(3))
+
+
+class TestCommute:
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 1e6])
+    def test_one_basis_commutes_at_any_scale(self, rng, scale):
+        # The rounding of A B - B A grows with max|A| max|B|; an absolute
+        # bound of tol.num called these pairs non-commuting from 1e3 on.
+        u = random_unitary(rng, 4)
+        a, b = (scale * (u * np.array(v, dtype=float)) @ u.conj().T
+                for v in ((0, 1, 2, 3), (3, 1, 0, 2)))
+        assert commute(a, b)
+        assert not commute(a, scale * random_hermitian(rng, 4))
+
+    def test_stacks_broadcast(self, rng):
+        u = random_unitary(rng, 3)
+        stack = np.array([(u * np.array(v, dtype=float)) @ u.conj().T
+                          for v in ((0, 1, 2), (2, 2, 0), (1, 0, 0))])
+        assert commute(stack[:, None], stack[None])
+        stack[1] = random_hermitian(rng, 3)
+        assert commute(stack[0], stack[2:])
+        assert not commute(stack[0], stack[1:])
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            commute(np.eye(2), np.eye(3)[None])
