@@ -26,12 +26,27 @@ then the ordinary product XY (the no-collapse, QND case).  `_combine` tests
 this on the coefficients it holds, all or nothing (`PROJECTOR_SLACK`), so a
 passing test certifies itself whatever the observables.  A leaf is such an
 operand and is not tested, so the pair tables and the right and reverse
-folds, which root only leaves, run no test and take no eigensolve.
+folds, which root only leaves, run no test and take no root.
 `sequential_product` and the Q-relative collapse run the same kernel in the
 trivial frame I_d.  Other roots are `batched_psd_sqrt`, as in the step
 sampler, whose cut is relative to each entry's trace, so a change of frame
 leaves it unchanged, and deep entries whose whole mass is below tol.psd
 keep their genuine small eigenvalues.
+
+A family whose measurements all commute needs no tree at all: under every
+bracketing its entries are the ordinary products P_i1 ... P_in, the
+spectral measure of one tuple observable whose eigenvalues are the flat
+indices of the outcome tuples.  `collapse_effect_tree` builds that table
+from one `eigh` before it walks the tree (`_tuple_table`), and a tuple off
+the joint eigenbasis is an exact zero.  The path certifies itself, with
+integral labels in range and every projector diagonal in the eigenvectors
+within `PROJECTOR_SLACK`.  Otherwise the kernel runs and its tables are
+unchanged: for partly commuting, near-commuting and non-commuting
+families, and for commuting ones whose eigenvectors carry more rounding
+than the slack, about eps N for N tuples when two labels in use differ by
+one (seen from 2**14 tuples at d = 4).  The path costs one eigensolve and
+2m products of d x d matrices for m projectors, whatever the tuple count:
+it pays for many observables, and the kernel's walk is cheaper for few.
 
 The size policy lives here too: `require_table_size` admits an array only up
 to `MAX_TABLE_BYTES` and 32 axes.  `collapse_effect_tree` (the pair
@@ -338,6 +353,61 @@ def _own_roots(coeffs: np.ndarray) -> bool:
     return bool(np.abs(defect).max() <= PROJECTOR_SLACK)
 
 
+def _tuple_table(observables: list) -> np.ndarray | None:
+    """The effect table (*outcome counts, d, d) of a mutually commuting
+    family, from one eigensolve, or None when the family does not certify.
+
+    Commuting projectors make every bracketing's entries the ordinary
+    products P_i1 ... P_in, the spectral measure of the tuple observable
+    T = sum_k s_k sum_i i P^k_i, whose eigenvalue on the joint range of a
+    tuple is its C-order flat index (s_k the strides of the outcome counts).
+    One `eigh` of T gives eigenvectors V and labels; entry t is the sum of
+    v v^H over the eigenvectors labelled t, so tuples with no eigenvector
+    are exact zeros.  Certified by both: every eigenvalue lies within 0.25
+    of an integer in [0, N), and V^H P^k_i V is the 0/1 diagonal of tuple
+    membership within PROJECTOR_SLACK for every projector, so the
+    projectors are diagonal in V and V holds their products.
+
+    Commuting projectors P and Q have a projector product, so tr(P Q), its
+    rank, is an integer.  For projectors that certify, V^H P V and V^H Q V
+    are 0/1 diagonals plus errors of entries at most delta =
+    PROJECTOR_SLACK, so tr(P Q) is within 2 d delta + d^2 delta^2 (under
+    3 d delta while d delta <= 1) of an integer; the test refuses past
+    4 d delta, a margin of d delta for the rounding of V and of the trace.
+    A family whose first two observables' first projectors are further off,
+    as in almost every family whose first two observables do not commute,
+    is refused before the eigensolve."""
+    first, second = observables[0].projectors[0], observables[1].projectors[0]
+    rank = np.vdot(second, first).real
+    if abs(rank - round(rank)) > 4 * len(first) * PROJECTOR_SLACK:
+        return None
+    counts = [o.n_outcomes for o in observables]
+    size = math.prod(counts)
+    stack = np.concatenate([o.projectors for o in observables])
+    m, d = stack.shape[:2]
+    owner = np.repeat(np.arange(len(counts)), counts)
+    outcome = np.concatenate([np.arange(c) for c in counts])
+    weights = (size // np.cumprod(counts))[owner] * outcome
+    vals, vecs = np.linalg.eigh((weights @ stack.reshape(m, d * d)).reshape(d, d))
+    labels = np.rint(vals)
+    if np.abs(vals - labels).max() > 0.25 or labels[0] < 0 or labels[-1] >= size:
+        return None
+    labels = labels.astype(np.int64)
+    overlaps = _adjoint(vecs) @ (stack.reshape(m * d, d) @ vecs).reshape(m, d, d)
+    overlaps[:, np.arange(d), np.arange(d)] -= (
+        np.array(np.unravel_index(labels, counts))[owner] == outcome[:, None])
+    if np.abs(overlaps).max() > PROJECTOR_SLACK:
+        return None
+    # eigh sorts the labels, so each tuple's eigenvectors are one run of
+    # columns: O(d^3) work in all and nothing held beyond the table.
+    table = np.zeros((size, d, d), dtype=np.complex128)
+    cuts = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), d]
+    for start, stop in zip(cuts, cuts[1:]):
+        block = vecs[:, start:stop]
+        table[labels[start]] = block @ _adjoint(block)
+    return table.reshape(tuple(counts) + (d, d))
+
+
 def _combine(x: _Framed, y: _Framed, x_left: bool, expand: bool,
              tol: Tolerances) -> _Framed | np.ndarray:
     """The entrywise sequential product sqrt(X) Y sqrt(X) of every entry of
@@ -403,9 +473,12 @@ def collapse_effect_tree(observables: list, tree: BracketTree,
 
     Tree leaves must carry 0..n-1 in left-to-right order.  Each node is
     evaluated as the entrywise sequential product of its sub-tables (or the
-    reverse product if the node is flagged).  The final table, 16 B per
-    item, must pass `require_table_size`; it is checked before the tree is
-    walked."""
+    reverse product if the node is flagged).  A mutually commuting family
+    whose table `_tuple_table` certifies takes that table instead, whatever
+    the tree: the products P_i1 ... P_in from one eigensolve, with exact
+    zeros on the tuples that no joint eigenvector carries.  The final table,
+    16 B per item, must pass `require_table_size`; it is checked before the
+    tree is walked."""
     n = len(observables)
     require_table_size(effect_table_shape(observables), 16)
     if tree.leaves != tuple(range(n)):
@@ -416,6 +489,9 @@ def collapse_effect_tree(observables: list, tree: BracketTree,
     axes = [np.asarray(o.sample_space) for o in observables]
     if isinstance(tree, Leaf):
         return JointEffectTable(axes, observables[0].projectors)
+    table = _tuple_table(observables)
+    if table is not None:
+        return JointEffectTable(axes, table)
 
     def eval_tree(t: BracketTree, expand: bool):
         if isinstance(t, Leaf):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -289,11 +291,19 @@ def plain_products(obs):
     return out.reshape((-1,) + out.shape[-2:])
 
 
+def kernel_table(monkeypatch, obs, tree):
+    """The table by the tree kernel, with the tuple path off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(collapse_product, "_tuple_table", lambda observables: None)
+        return collapse_effect_tree(obs, tree)
+
+
 def eigensolve_table(monkeypatch, obs, tree):
-    """The table with every non-leaf operand's roots taken by eigensolve."""
+    """The kernel's table with every non-leaf operand's roots taken by
+    eigensolve."""
     with monkeypatch.context() as patch:
         patch.setattr(collapse_product, "_own_roots", lambda coeffs: False)
-        return collapse_effect_tree(obs, tree)
+        return kernel_table(patch, obs, tree)
 
 
 def count_roots(monkeypatch):
@@ -350,7 +360,12 @@ FLAG_PATTERNS = ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0))
 
 class TestCommutingOperands:
     """An operand whose entries are all projectors, as when its measurements
-    all commute, is its own root: it takes no eigensolve."""
+    all commute, is its own root: it takes no eigensolve.  These are tests
+    of the kernel, so the tuple path is off."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_only(self, monkeypatch):
+        monkeypatch.setattr(collapse_product, "_tuple_table", lambda observables: None)
 
     def test_commuting_family_takes_no_root(self, rng, monkeypatch):
         values = [(0, 0, 1, 1, 2, 2), (0, 1, 1, 1, 1, 2), (0, 0, 0, 1, 1, 1),
@@ -474,6 +489,119 @@ class TestCommutingOperands:
             for p in a.projectors:
                 assert np.abs(sequential_product(p, y) - p @ y @ p).max() < 1e-15
         assert calls == []
+
+
+def tuple_path_table(monkeypatch, obs, tree):
+    """The table of a family the tuple path certifies, checked to take one
+    `eigh`, of the d x d tuple observable, and no kernel call."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def no_combine(*args):
+        raise AssertionError("a certified commuting family walked the tree")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counting)
+        patch.setattr(collapse_product, "_combine", no_combine)
+        table = collapse_effect_tree(obs, tree)
+    assert calls == [(obs[0].dim, obs[0].dim)]
+    return table
+
+
+def raw_observable(name, projectors):
+    """An observable on given operators, not checked to be projectors."""
+    stack = np.asarray(projectors, dtype=np.complex128)
+    return Observable(name, SpectralDecomposition(np.arange(len(stack), dtype=float), stack))
+
+
+class TestTupleTable:
+    """A mutually commuting family's table comes from one eigensolve of its
+    tuple observable, whatever the bracketing; any other family runs the
+    kernel, byte for byte."""
+
+    # Labels on one shared basis: degenerate ranks and unequal outcome counts.
+    FAMILIES = (
+        (6, [(0, 0, 1, 1, 2, 2), (0, 1, 1, 1, 1, 2), (0, 0, 0, 1, 1, 1),
+             (0, 1, 2, 3, 3, 3), (1, 1, 0, 0, 0, 0)]),
+        (5, [(0, 0, 1, 2, 2), (1, 0, 1, 0, 1), (0, 1, 2, 3, 4)]),
+        (4, [(0, 0, 1, 1), (0, 1, 1, 2)]),
+    )
+
+    def test_commuting_families_match_the_kernel(self, rng, monkeypatch):
+        for dim, values in self.FAMILIES:
+            values = [rng.permutation(v) for v in values]
+            obs = shared_basis(rng, dim, values)
+            present = np.zeros([o.n_outcomes for o in obs], dtype=bool)
+            present[tuple(np.unique(v, return_inverse=True)[1] for v in values)] = True
+            assert 0 < present.sum() < present.size
+            for tree in enumerate_bracketings(len(obs)):
+                for flags in FLAG_PATTERNS:
+                    mixed = with_reverse_nodes(tree, iter(flags))
+                    reference = kernel_table(monkeypatch, obs, mixed)
+                    table = tuple_path_table(monkeypatch, obs, mixed)
+                    assert np.abs(table.effects - reference.effects).max() < 1e-12
+                    assert not table.effects[~present].any()
+                    assert np.abs(table.effects[present]).max(axis=(-2, -1)).min() > 1e-3
+
+    def test_other_families_run_the_kernel_byte_for_byte(self, rng, monkeypatch):
+        a, a2, c = shared_basis(rng, 6, [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1, 0, 1),
+                                         (0, 0, 0, 1, 1, 2)])
+        b = degenerate_observable(rng, 6, "B", (0, 0, 0, 1, 1, 1))
+        families = [[a, a2, b, c], [a, b, a2, c], [b, a, a2, c]]
+        basis = random_unitary(rng, 4)
+        probe = projector_commutator(turned_family(np.random.default_rng(7), basis, 1e-6))
+        for target in (1e-11, 1e-10, 1e-9, 1e-8):
+            obs = turned_family(np.random.default_rng(7), basis, 1e-6 * target / probe)
+            assert 0.5 * target < projector_commutator(obs) < 2 * target
+            families.append(obs)
+        families.append([random_observable(rng, 4, f"A{k}") for k in range(4)])
+        for obs in families:
+            assert collapse_product._tuple_table(obs) is None
+            for tree in enumerate_bracketings(len(obs)):
+                for flags in FLAG_PATTERNS:
+                    mixed = with_reverse_nodes(tree, iter(flags))
+                    reference = kernel_table(monkeypatch, obs, mixed)
+                    table = collapse_effect_tree(obs, mixed)
+                    assert np.array_equal(table.effects, reference.effects)
+
+    @pytest.mark.parametrize("first, second, label", [
+        ([[[-1.0]], [[2.0]]], [[[1.0]], [[0.0]]], 4.0),    # past the last tuple
+        ([[[2.0]], [[-1.0]]], [[[1.0]], [[0.0]]], -2.0),   # would wrap to tuple 2
+        ([[[0.7]], [[0.3]]], [[[0.0]], [[1.0]]], 1.6),     # between two tuples
+    ])
+    def test_labels_off_the_tuples_are_refused_unindexed(self, monkeypatch, first, second,
+                                                         label):
+        # d = 1 operators that pass the first-pair test and give the tuple
+        # observable T = 2 first[1] + second[1] one eigenvalue, `label`,
+        # on four tuples.
+        obs = [raw_observable("F", first), raw_observable("S", second)]
+        assert 2 * first[1][0][0] + second[1][0][0] == label
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("a refused label was decoded into a tuple")
+
+        monkeypatch.setattr(np, "unravel_index", no_index)
+        assert collapse_product._tuple_table(obs) is None
+
+    def test_work_space_is_bounded_by_the_table(self, rng, monkeypatch):
+        # Two binary observables at d = 200: 4 tuples, far fewer than d, so
+        # any d x d x d work space would be 50 tables.  The path holds the
+        # projector stack, the overlaps and the table, each of the table's
+        # size here.
+        obs = shared_basis(rng, 200, [rng.permutation(np.arange(200) % 2),
+                                      rng.permutation(np.arange(200) // 100)])
+        tree = Node(Leaf(0), Leaf(1))
+        tuple_path_table(monkeypatch, obs, tree)
+        tracemalloc.start()
+        try:
+            table = collapse_effect_tree(obs, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * table.effects.nbytes
 
 
 class TestBracketings:
