@@ -4,12 +4,13 @@ Builds the largest left-fold, right-fold and reverse-fold effect tables that
 `MAX_TABLE_BYTES` admits, once each, and checks that every entry is PSD and
 the entries sum to the identity, that the probabilities sum to 1, and that
 the left fold's exact law and its step sampler agree with its table.  The
-same folds of Z measured again and again take no root in the kernel and
-are diagonal in the outcome tuple; on a random basis they are one
-eigensolve of the tuple observable, with exact zeros off the diagonal.  A
-chain of d = 4 observables with two rank-2 outcomes each, whose roots
-branch at every step, checks the left fold's exact law against its table
-at the guard's limit too.  It also samples a million-step chain at the
+same folds of Z measured again and again, on the standard basis or a
+random one, are one eigensolve of the tuple observable, with exact zeros
+off the diagonal.  A chain of d = 4 observables with two rank-2 outcomes
+each, whose roots branch at every step, checks the left fold's exact law
+against its table at the guard's limit too, and a commuting d = 4 family
+that the tuple path refuses keeps the plain products through the kernel's
+left fold.  It also samples a million-step chain at the
 most runs the step sampler's arrays admit and checks its outcome pairs
 against their closed form, and draws from the largest admitted left-fold
 law with every tuple drawable.  Each table takes a second or two and a
@@ -30,6 +31,7 @@ from collapsekit import (
     collapse_effect_tree,
     exact_chain_distribution,
     joint_distribution,
+    left_fold_tree,
     observable,
     sample_chain_leftfold,
 )
@@ -113,44 +115,25 @@ def test_step_sampler_agrees_with_the_table(largest):
     assert stats.chi2.sf(statistic, BINS - 1) > 1e-3
 
 
+@pytest.mark.parametrize("basis", ["identity", "random"])
 @pytest.mark.parametrize("convention", ["left_fold", "right_fold", "reverse_fold"])
-def test_repeated_measurement_takes_no_root(monkeypatch, convention):
-    """Z measured STEPS times, the repeated (QND) measurement of one
-    observable, through the kernel with the tuple path off: every operand is
-    a product of commuting projectors, its own root, so no fold takes a
-    root.  Each entry is P_i on the constant tuple (i, ..., i) and 0 on
-    every other tuple."""
-    def no_root(*args, **kwargs):
-        raise AssertionError("a fold of commuting measurements took a PSD root")
-
-    monkeypatch.setattr(collapse_product, "batched_psd_sqrt", no_root)
-    monkeypatch.setattr(collapse_product, "_tuple_table", lambda observables: None)
-    z = observable("Z", np.diag([1.0, -1.0]))
-    spec = ChainSpec([z], STEPS, convention)
-    table = collapse_effect_tree(spec.sequence(), spec.tree())
-    assert table.effects.nbytes <= MAX_TABLE_BYTES < 2 * table.effects.nbytes
-    table.check()
-    flat = table.flat_effects()
-    assert np.abs(flat[0] - z.projectors[0]).max() <= 1e-15
-    assert np.abs(flat[-1] - z.projectors[1]).max() <= 1e-15
-    assert not flat[1:-1].any()
-
-
-@pytest.mark.parametrize("convention", ["left_fold", "right_fold", "reverse_fold"])
-def test_repeated_measurement_on_a_random_basis_is_one_eigensolve(monkeypatch, convention):
-    """Z on a random basis measured STEPS times: a commuting family, so the
-    table is its tuple observable's spectral measure, built with no kernel
-    call.  The two constant tuples carry the projectors and the other
-    2**STEPS - 2 are exact zeros, where the kernel leaves rounding residue
-    off the diagonal basis.  Measured on 2 CPUs with one BLAS thread: about
-    1 ms and +2 MB peak RSS per fold, against 0.3-0.5 s and +208 to +288 MB
-    through the kernel."""
+def test_repeated_measurement_is_one_eigensolve(monkeypatch, convention, basis):
+    """Z, on the standard basis or a random one, measured STEPS times: the
+    repeated (QND) measurement of one observable, a commuting family, so
+    the table is its tuple observable's spectral measure, built with no
+    kernel call.  The two constant tuples carry the projectors and the
+    other 2**STEPS - 2 are exact zeros, where the kernel leaves rounding
+    residue off the diagonal basis.  Measured on 2 CPUs with one BLAS
+    thread: about 1 ms and +2 MB peak RSS per fold, against 0.3-0.5 s and
+    +208 to +288 MB through the kernel."""
     def no_combine(*args):
         raise AssertionError("a fold of one repeated measurement walked the tree")
 
     monkeypatch.setattr(collapse_product, "_combine", no_combine)
-    rng = np.random.default_rng(21)
-    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    u = np.eye(2)
+    if basis == "random":
+        rng = np.random.default_rng(21)
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     z = observable("Z", u @ np.diag([1.0, -1.0]) @ u.conj().T)
     spec = ChainSpec([z], STEPS, convention)
     flat = collapse_effect_tree(spec.sequence(), spec.tree()).flat_effects()
@@ -187,6 +170,29 @@ def test_branching_law_is_the_table_law():
     del table
     assert (exact.probabilities > 0.0).all()
     assert np.abs(exact.probabilities - expected.probabilities).max() <= 1e-12
+
+
+def test_largest_refused_commuting_fold_is_the_plain_products():
+    """A = U diag(0, 0, 1, 1) U^H measured BRANCHING_STEPS - 1 times, then
+    B = U diag(0, 1, 0, 1) U^H: a commuting family whose eigenvectors carry
+    rounding of about eps N over the unit gaps of its 2**19 tuple labels,
+    past PROJECTOR_SLACK, so the tuple path refuses it and the kernel
+    roots every operand of the left fold.  The four tuples (i, ..., i, j)
+    carry P^A_i P^B_j and every other entry is zero, each within 1e-13."""
+    rng = np.random.default_rng(23)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    a, b = (observable(name, (u * np.asarray(values, dtype=float)) @ u.conj().T)
+            for name, values in (("A", (0, 0, 1, 1)), ("B", (0, 1, 0, 1))))
+    family = [a] * (BRANCHING_STEPS - 1) + [b]
+    assert collapse_product._tuple_table(family) is None
+    effects = collapse_effect_tree(family, left_fold_tree(BRANCHING_STEPS)).effects
+    assert effects.nbytes <= MAX_TABLE_BYTES < 2 * effects.nbytes
+    for i, p in enumerate(a.projectors):
+        for j, q in enumerate(b.projectors):
+            tuple_ = (i,) * (BRANCHING_STEPS - 1) + (j,)
+            assert np.abs(effects[tuple_] - p @ q).max() <= 1e-13
+            effects[tuple_] = 0.0
+    assert np.abs(effects).max() <= 1e-13
 
 
 # The step sampler's guard charges 16 B per run and step (its uniforms take

@@ -20,18 +20,14 @@ A node takes the w x w roots of one operand, brings the other in through the
 overlaps of the two frames, and sandwiches; the root node's sandwich gives
 the d x d entries directly.
 
-An operand whose entries are all projectors, as when its measurements all
-commute, is its own root, sqrt(P) = P, and takes no eigensolve: X o Y is
-then the ordinary product XY (the no-collapse, QND case).  `_combine` tests
-this on the coefficients it holds, all or nothing (`PROJECTOR_SLACK`), so a
-passing test certifies itself whatever the observables.  A leaf is such an
-operand and is not tested, so the pair tables and the right and reverse
-folds, which root only leaves, run no test and take no root.
-`sequential_product` and the Q-relative collapse run the same kernel in the
-trivial frame I_d.  Other roots are `batched_psd_sqrt`, as in the step
-sampler, whose cut is relative to each entry's trace, so a change of frame
-leaves it unchanged, and deep entries whose whole mass is below tol.psd
-keep their genuine small eigenvalues.
+A leaf's entries, diag(1_r, 0) in its frame, are their own roots, so a
+leaf operand takes none: the pair tables and the right and reverse folds,
+which root only leaves, take no eigensolve.  Every other operand takes
+`batched_psd_sqrt`, as in the step sampler, whose cut is relative to each
+entry's trace, so a change of frame leaves it unchanged, and deep entries
+whose whole mass is below tol.psd keep their genuine small eigenvalues.
+`sequential_product` and the Q-relative collapse run the same kernel in
+the trivial frame I_d.
 
 A family whose measurements all commute needs no tree at all: under every
 bracketing its entries are the ordinary products P_i1 ... P_in, the
@@ -40,13 +36,14 @@ indices of the outcome tuples.  `collapse_effect_tree` builds that table
 from one `eigh` before it walks the tree (`_tuple_table`), and a tuple off
 the joint eigenbasis is an exact zero.  The path certifies itself, with
 integral labels in range and every projector diagonal in the eigenvectors
-within `PROJECTOR_SLACK`.  Otherwise the kernel runs and its tables are
-unchanged: for partly commuting, near-commuting and non-commuting
-families, and for commuting ones whose eigenvectors carry more rounding
-than the slack, about eps N for N tuples when two labels in use differ by
-one (seen from 2**14 tuples at d = 4).  The path costs one eigensolve and
-2m products of d x d matrices for m projectors, whatever the tuple count:
-it pays for many observables, and the kernel's walk is cheaper for few.
+within `PROJECTOR_SLACK`.  It is the one commuting path: a family it
+refuses runs the kernel, every non-leaf operand rooted.  Such are partly
+commuting, near-commuting and non-commuting families, and commuting ones
+whose eigenvectors carry more rounding than the slack, about eps N for N
+tuples when two labels in use differ by one (seen from 2**13 tuples at
+d = 4).  The path costs one eigensolve and 2m products of d x d
+matrices for m projectors, whatever the tuple count: it pays for many
+observables, and the kernel's walk is cheaper for few.
 
 The size policy lives here too: `require_table_size` admits an array only up
 to `MAX_TABLE_BYTES` and 32 axes.  `collapse_effect_tree` (the pair
@@ -113,9 +110,13 @@ __all__ = [
 # Largest array, in bytes, that a table or sampler call may allocate.  Measured
 # on 2 CPUs with one BLAS thread (numpy 2.4): the 2**21-tuple left, right and
 # reverse folds of a two-outcome d = 2 chain (128 MiB each) built in 0.3-0.4 s,
-# 0.12 s and 0.18-0.19 s with +288, +208 and +208 MiB peak RSS; the
-# 4**8-tuple folds of a four-outcome d = 8 chain (64 MiB) in 0.07-0.19 s with
-# +81 to +103 MiB.  Peak RSS stays within 2.3 times the table.  The
+# 0.11 s and 0.16 s with +288, +208 and +208 MiB peak RSS; the 2**19-tuple
+# left fold of a two-outcome d = 4 chain (128 MiB) in 1.4 s with +324 MiB; the
+# 4**8-tuple folds of a four-outcome d = 8 chain (64 MiB) in 0.05-0.10 s with
+# +82 to +102 MiB.  Peak RSS stays within 2.6 times the table.  Of the d = 4
+# fold's peak, 36 MiB is freed memory that glibc's malloc keeps on its heap:
+# tracemalloc peaks at 288 MiB, 2.25 times the table, and the RSS peak is
+# +288 MiB under MALLOC_TRIM_THRESHOLD_=0.  The
 # benchmarks' largest sampler call, 10**6 runs of 8 steps, is charged 122 MiB
 # at 16 B per run and step; its int8 outcomes take 7.6 MiB, and the call
 # peaks at 9.7 MiB under tracemalloc on 2 threads.
@@ -335,22 +336,16 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-# The largest max |C C - C| of a coefficient block C counted as a projector:
-# 2**14 rounding units, over 100 times the largest defect measured on
-# products of commuting projectors (110.5 eps, seeded families up to d = 64)
-# and far below tol.psd; non-commuting ones measured 0.09 and more.  For
-# Hermitian C of width w and defect delta, each eigenvalue l has |l^2 - l|
-# <= w delta, so sqrt(l) = l to O(w delta) and taking C for its root moves
-# the sandwiched entries by O(w delta).
+# The largest entry of V^H P V off the 0/1 diagonal of tuple membership that
+# `_tuple_table` certifies: 2**14 rounding units, far below tol.psd.  The
+# eigenvectors V of the tuple observable carry rounding of about eps ||T||
+# over its smallest gap, so at unit gaps the defect grows with the tuple
+# count N: seeded commuting families up to d = 64 and 2**14 tuples measured
+# at most 4.5 eps N, and A taken n - 1 times then B on one basis at d = 4
+# certifies through 2**12 tuples and is refused from 2**13.  A projector
+# turned off the shared basis by a commutator c measured about 0.9 c, so
+# near-commuting families are refused from commutators of about 4e-12.
 PROJECTOR_SLACK = 2**14 * np.finfo(float).eps
-
-
-def _own_roots(coeffs: np.ndarray) -> bool:
-    """Whether every block C of a coefficient stack (..., w, w) is a
-    projector within PROJECTOR_SLACK, and so its own root."""
-    defect = coeffs @ coeffs
-    defect -= coeffs
-    return bool(np.abs(defect).max() <= PROJECTOR_SLACK)
 
 
 def _tuple_table(observables: list) -> np.ndarray | None:
@@ -417,18 +412,16 @@ def _combine(x: _Framed, y: _Framed, x_left: bool, expand: bool,
     X = V S^2 V^H for its root S in x's frame V, so the product is V T D T^H
     V^H in V, with T = S V^H W through y's frame W and D the coefficients
     of y: T is formed once per (x entry, y lead outcome) and broadcast over
-    y's other axes.  Coefficients that are projectors (`_own_roots`) are
-    their own root, S = C; a leaf's, diag(1_r, 0), always are, and the padded
-    rows and columns of V^H W are zero, so a leaf x gives T = V^H W and a
-    leaf y gives T T^H.  The result keeps x's frames, or with `expand` is
+    y's other axes.  A leaf's coefficients, diag(1_r, 0), are their own
+    root, and the padded rows and columns of V^H W are zero, so a leaf x
+    gives T = V^H W and a leaf y gives T T^H; any other x takes
+    `batched_psd_sqrt`.  The result keeps x's frames, or with `expand` is
     the d x d entry table, from T = V S V^H W."""
     def place(a, trailing):
         return a.reshape(a.shape[:-2] + (1,) * trailing + a.shape[-2:])
 
     fx, fy, cy = x.frames, y.frames, y.coeffs
-    roots = x.coeffs
-    if roots is not None and not _own_roots(roots):
-        roots = batched_psd_sqrt(roots, tol)
+    roots = None if x.coeffs is None else batched_psd_sqrt(x.coeffs, tol)
     if x_left:
         fx = place(fx, y.ndim)
         roots = None if roots is None else place(roots, y.ndim)

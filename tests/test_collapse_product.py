@@ -30,7 +30,6 @@ from collapsekit.operator_core import (
     NonHermitianError,
     NotPositiveSemidefiniteError,
     SpectralDecomposition,
-    batched_psd_sqrt,
     commutator_norm,
     require_effects,
 )
@@ -102,6 +101,14 @@ class TestSequentialProduct:
         lhs = sequential_product(x1 + x2, y)
         rhs = sequential_product(x1, y) + sequential_product(x2, y)
         assert np.abs(lhs - rhs).max() > 1e-3
+
+    def test_projector_left_operand(self, rng):
+        # X o Y = P Y P for a projector X = P.
+        for dim, values in ((2, [0, 1]), (5, [0, 0, 1, 2, 2]), (6, np.arange(6))):
+            a = degenerate_observable(rng, dim, "A", values)
+            y = random_hermitian(rng, dim)
+            for p in a.projectors:
+                assert np.abs(sequential_product(p, y) - p @ y @ p).max() < 1e-14
 
     def test_rejects_non_hermitian_left(self):
         with pytest.raises(NonHermitianError):
@@ -175,6 +182,34 @@ class TestFramedKernel:
             table = collapse_effect_tree(obs, mixed)
             assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
 
+    def test_partly_and_near_commuting_families(self, rng, monkeypatch):
+        # The kernel, with the tuple path off.  Partly commuting: A, A' and C
+        # on one basis, B on another, in three orders.  Neighbours commuting
+        # but not the ends: D commutes with A and with E, which do not
+        # commute with each other.  Near-commuting: B turned off the basis
+        # of A and C by commutators 1e-15 to 1e-8.
+        a, a2, c = shared_basis(rng, 6, [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1, 0, 1),
+                                         (0, 0, 0, 1, 1, 2)])
+        b = degenerate_observable(rng, 6, "B", (0, 0, 0, 1, 1, 1))
+        families = [[a, a2, b, c], [a, a2, c, b], [a, b, a2, c]]
+        u = random_unitary(rng, 4)
+        d, a4, e = shared_basis(rng, 4, [(0, 0, 1, 1)], u) + [
+            observable(name, u @ np.kron(np.eye(2), m) @ u.conj().T)
+            for name, m in (("A", PAULI_Z), ("E", PAULI_X))]
+        families += [[a4, d, e], [a4, d, a4, d]]
+        basis = random_unitary(rng, 4)
+        probe = projector_commutator(turned_family(np.random.default_rng(7), basis, 1e-6))
+        for target in (1e-15, 1e-11, 1e-8):
+            obs = turned_family(np.random.default_rng(7), basis, 1e-6 * target / probe)
+            assert 0.5 * target < projector_commutator(obs) < 2 * target
+            families.append(obs)
+        for obs in families:
+            for tree in enumerate_bracketings(len(obs)):
+                for flags in FLAG_PATTERNS:
+                    mixed = with_reverse_nodes(tree, iter(flags))
+                    table = kernel_table(monkeypatch, obs, mixed)
+                    assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
+
     def test_raw_decompositions_take_lazy_frames(self, rng):
         obs = []
         for k, values in enumerate([(0, 0, 1, 2), (0, 1, 1, 1), (0, 0, 1, 1)]):
@@ -194,6 +229,19 @@ class TestFramedKernel:
 
 
 class TestDeepBracketings:
+    def test_folds_of_a_refused_commuting_family_are_the_plain_products(self, rng,
+                                                                        monkeypatch):
+        # A taken n - 1 times, then B, on one basis: the tuple path refuses
+        # such families from about 2**13 tuples, so the kernel must keep the
+        # products P_i1 ... P_in at every depth, on every fold.
+        a, b = shared_basis(rng, 4, [(0, 0, 1, 1), (0, 1, 0, 1)])
+        for n in range(2, 14):
+            obs = [a] * (n - 1) + [b]
+            expected = plain_products(obs)
+            for fold in (left_fold_tree, right_fold_tree, reverse_fold_tree):
+                table = kernel_table(monkeypatch, obs, fold(n))
+                assert np.abs(table.flat_effects() - expected).max() < 1e-13
+
     def test_n7_degenerate_tables_pass_check(self):
         # Entries of these tables carry mass below tol.psd: an absolute root
         # cut drops it and 8 of the 33 tables fail check().
@@ -298,46 +346,6 @@ def kernel_table(monkeypatch, obs, tree):
         return collapse_effect_tree(obs, tree)
 
 
-def eigensolve_table(monkeypatch, obs, tree):
-    """The kernel's table with every non-leaf operand's roots taken by
-    eigensolve."""
-    with monkeypatch.context() as patch:
-        patch.setattr(collapse_product, "_own_roots", lambda coeffs: False)
-        return kernel_table(patch, obs, tree)
-
-
-def count_roots(monkeypatch):
-    """Record the outcome counts of every stack `batched_psd_sqrt` roots."""
-    calls = []
-
-    def counting(stack, tol=DEFAULT):
-        calls.append(stack.shape[:-2])
-        return batched_psd_sqrt(stack, tol)
-
-    monkeypatch.setattr(collapse_product, "batched_psd_sqrt", counting)
-    return calls
-
-
-def rooted_operands(tree, commute, counts):
-    """The outcome counts of the operands whose roots are taken: those of
-    more than one leaf with a pair of leaves i < j for which `commute(i, j)`
-    is false, as known from how the observables were built."""
-    out = []
-
-    def walk(t, lo):
-        if isinstance(t, Leaf):
-            return lo + 1
-        mid = walk(t.left, lo)
-        hi = walk(t.right, mid)
-        a, b = (mid, hi) if t.reverse else (lo, mid)
-        if not all(commute(i, j) for i in range(a, b) for j in range(i + 1, b)):
-            out.append(tuple(counts[a:b]))
-        return hi
-
-    walk(tree, 0)
-    return out
-
-
 def turned_family(rng, basis, angle):
     """A, B and C on one basis, with B turned off it by exp(i angle H) for a
     random Hermitian H of unit norm."""
@@ -356,139 +364,6 @@ def projector_commutator(obs):
 
 
 FLAG_PATTERNS = ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0))
-
-
-class TestCommutingOperands:
-    """An operand whose entries are all projectors, as when its measurements
-    all commute, is its own root: it takes no eigensolve.  These are tests
-    of the kernel, so the tuple path is off."""
-
-    @pytest.fixture(autouse=True)
-    def kernel_only(self, monkeypatch):
-        monkeypatch.setattr(collapse_product, "_tuple_table", lambda observables: None)
-
-    def test_commuting_family_takes_no_root(self, rng, monkeypatch):
-        values = [(0, 0, 1, 1, 2, 2), (0, 1, 1, 1, 1, 2), (0, 0, 0, 1, 1, 1),
-                  (0, 1, 2, 3, 4, 5), (0, 0, 1, 1, 1, 1)]
-        obs = shared_basis(rng, 6, [rng.permutation(v) for v in values])
-        expected = plain_products(obs)
-        calls = count_roots(monkeypatch)
-        for tree in enumerate_bracketings(5):
-            for flags in FLAG_PATTERNS:
-                table = collapse_effect_tree(obs, with_reverse_nodes(tree, iter(flags)))
-                assert np.abs(table.flat_effects() - expected).max() < 1e-12
-        assert calls == []
-
-    def test_partly_commuting_family_skips_the_commuting_ranges(self, rng, monkeypatch):
-        # A, A' and C on one basis, B on another: B commutes with none of
-        # them, so an operand is rooted exactly when it holds B and another.
-        a, a2, c = shared_basis(rng, 6, [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1, 0, 1),
-                                         (0, 0, 0, 1, 1, 2)])
-        b = degenerate_observable(rng, 6, "B", (0, 0, 0, 1, 1, 1))
-        for obs in ([a, a2, b, c], [a, a2, c, b], [a, b, a2, c]):
-            shared = [o is not b for o in obs]
-            counts = [o.n_outcomes for o in obs]
-            for tree in enumerate_bracketings(4):
-                for flags in FLAG_PATTERNS:
-                    mixed = with_reverse_nodes(tree, iter(flags))
-                    reference = eigensolve_table(monkeypatch, obs, mixed)
-                    with monkeypatch.context() as patch:
-                        calls = count_roots(patch)
-                        table = collapse_effect_tree(obs, mixed)
-                    assert calls == rooted_operands(mixed, lambda i, j: shared[i] and shared[j],
-                                                    counts)
-                    assert np.abs(table.effects - reference.effects).max() < 1e-12
-
-    def test_neighbours_commute_but_not_the_ends(self, rng, monkeypatch):
-        # D commutes with A and with E, which do not commute with each other.
-        u = random_unitary(rng, 4)
-        d, a, e = shared_basis(rng, 4, [(0, 0, 1, 1)], u) + [
-            observable(name, u @ np.kron(np.eye(2), m) @ u.conj().T)
-            for name, m in (("A", PAULI_Z), ("E", PAULI_X))]
-        for obs in ([a, d, e], [a, d, a, d]):
-            names = [o.name for o in obs]
-            counts = [o.n_outcomes for o in obs]
-            for tree in enumerate_bracketings(len(obs)):
-                for flags in FLAG_PATTERNS:
-                    mixed = with_reverse_nodes(tree, iter(flags))
-                    with monkeypatch.context() as patch:
-                        calls = count_roots(patch)
-                        table = collapse_effect_tree(obs, mixed)
-                    assert calls == rooted_operands(
-                        mixed, lambda i, j: {names[i], names[j]} != {"A", "E"}, counts)
-                    table.check()
-
-    def test_near_commuting_families_take_no_root(self, rng, monkeypatch):
-        # B turned off the common basis by commutators from rounding to 1e-8:
-        # every operand's entries are projectors to within the square of the
-        # commutator, so none is rooted, and the tables stay within 1e-12 of
-        # the eigensolve path.
-        basis = random_unitary(rng, 4)
-        probe = projector_commutator(turned_family(np.random.default_rng(7), basis, 1e-6))
-        measured = []
-        for target in (1e-15, 1e-13, 1e-11, 1e-9, 1e-8):
-            obs = turned_family(np.random.default_rng(7), basis, 1e-6 * target / probe)
-            measured.append(projector_commutator(obs))
-            for tree in enumerate_bracketings(3):
-                for flags in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                    mixed = with_reverse_nodes(tree, iter(flags))
-                    reference = eigensolve_table(monkeypatch, obs, mixed)
-                    with monkeypatch.context() as patch:
-                        calls = count_roots(patch)
-                        table = collapse_effect_tree(obs, mixed)
-                    assert calls == []
-                    assert np.abs(table.effects - reference.effects).max() < 1e-12
-        assert min(measured) < 1e-14 and 5e-9 < max(measured) < 2e-8
-
-    def test_clearly_noncommuting_turn_takes_every_root(self, rng, monkeypatch):
-        obs = turned_family(rng, random_unitary(rng, 4), 0.3)
-        assert projector_commutator(obs) > 1e-2
-        counts = [o.n_outcomes for o in obs]
-        for tree in enumerate_bracketings(3):
-            for flags in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                mixed = with_reverse_nodes(tree, iter(flags))
-                reference = eigensolve_table(monkeypatch, obs, mixed)
-                with monkeypatch.context() as patch:
-                    calls = count_roots(patch)
-                    table = collapse_effect_tree(obs, mixed)
-                assert calls == rooted_operands(mixed, lambda i, j: 1 not in (i, j), counts)
-                assert np.array_equal(table.effects, reference.effects)
-
-    def test_trees_that_root_only_leaves_test_no_commutation(self, rng, monkeypatch):
-        def no_test(coeffs):
-            raise AssertionError("a tree that roots only leaves ran the projector test")
-
-        monkeypatch.setattr(collapse_product, "_own_roots", no_test)
-        obs = [random_observable(rng, 3, f"A{k}") for k in range(4)]
-        for tree in (right_fold_tree(4), reverse_fold_tree(4)):
-            collapse_effect_tree(obs, tree).check()
-        collapse_effect_pair(obs[0], obs[1]).check()
-        reverse_collapse_pair(obs[0], obs[1]).check()
-
-    def test_noncommuting_tables_byte_identical_to_the_eigensolve_path(self, rng,
-                                                                        monkeypatch):
-        obs = [random_observable(rng, 4, f"A{k}") for k in range(5)]
-        obs[2] = degenerate_observable(rng, 4, "D", (0, 0, 1, 2))
-        counts = [o.n_outcomes for o in obs]
-        for tree in enumerate_bracketings(5):
-            for flags in FLAG_PATTERNS:
-                mixed = with_reverse_nodes(tree, iter(flags))
-                reference = eigensolve_table(monkeypatch, obs, mixed)
-                with monkeypatch.context() as patch:
-                    calls = count_roots(patch)
-                    table = collapse_effect_tree(obs, mixed)
-                assert calls == rooted_operands(mixed, lambda i, j: False, counts)
-                assert np.array_equal(table.effects, reference.effects)
-
-    def test_projector_left_operand_of_the_single_product(self, rng, monkeypatch):
-        # X o Y = P Y P for a projector X = P, with no root taken.
-        calls = count_roots(monkeypatch)
-        for dim, values in ((2, [0, 1]), (5, [0, 0, 1, 2, 2]), (6, np.arange(6))):
-            a = degenerate_observable(rng, dim, "A", values)
-            y = random_hermitian(rng, dim)
-            for p in a.projectors:
-                assert np.abs(sequential_product(p, y) - p @ y @ p).max() < 1e-15
-        assert calls == []
 
 
 def tuple_path_table(monkeypatch, obs, tree):
