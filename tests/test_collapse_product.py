@@ -182,34 +182,6 @@ class TestFramedKernel:
             table = collapse_effect_tree(obs, mixed)
             assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
 
-    def test_partly_and_near_commuting_families(self, rng, monkeypatch):
-        # The kernel, with the tuple path off.  Partly commuting: A, A' and C
-        # on one basis, B on another, in three orders.  Neighbours commuting
-        # but not the ends: D commutes with A and with E, which do not
-        # commute with each other.  Near-commuting: B turned off the basis
-        # of A and C by commutators 1e-15 to 1e-8.
-        a, a2, c = shared_basis(rng, 6, [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1, 0, 1),
-                                         (0, 0, 0, 1, 1, 2)])
-        b = degenerate_observable(rng, 6, "B", (0, 0, 0, 1, 1, 1))
-        families = [[a, a2, b, c], [a, a2, c, b], [a, b, a2, c]]
-        u = random_unitary(rng, 4)
-        d, a4, e = shared_basis(rng, 4, [(0, 0, 1, 1)], u) + [
-            observable(name, u @ np.kron(np.eye(2), m) @ u.conj().T)
-            for name, m in (("A", PAULI_Z), ("E", PAULI_X))]
-        families += [[a4, d, e], [a4, d, a4, d]]
-        basis = random_unitary(rng, 4)
-        probe = projector_commutator(turned_family(np.random.default_rng(7), basis, 1e-6))
-        for target in (1e-15, 1e-11, 1e-8):
-            obs = turned_family(np.random.default_rng(7), basis, 1e-6 * target / probe)
-            assert 0.5 * target < projector_commutator(obs) < 2 * target
-            families.append(obs)
-        for obs in families:
-            for tree in enumerate_bracketings(len(obs)):
-                for flags in FLAG_PATTERNS:
-                    mixed = with_reverse_nodes(tree, iter(flags))
-                    table = kernel_table(monkeypatch, obs, mixed)
-                    assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
-
     def test_raw_decompositions_take_lazy_frames(self, rng):
         obs = []
         for k, values in enumerate([(0, 0, 1, 2), (0, 1, 1, 1), (0, 0, 1, 1)]):
@@ -390,6 +362,56 @@ def raw_observable(name, projectors):
     """An observable on given operators, not checked to be projectors."""
     stack = np.asarray(projectors, dtype=np.complex128)
     return Observable(name, SpectralDecomposition(np.arange(len(stack), dtype=float), stack))
+
+
+class TestCommutingOperands:
+    """Families with commuting parts: the kernel, with the tuple path off,
+    roots every operand but a leaf by eigensolve, and its tables match the
+    reference recursion on every bracketing."""
+
+    def check_kernel(self, monkeypatch, obs):
+        for tree in enumerate_bracketings(len(obs)):
+            for flags in FLAG_PATTERNS:
+                mixed = with_reverse_nodes(tree, iter(flags))
+                table = kernel_table(monkeypatch, obs, mixed)
+                assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-13
+
+    def test_partly_commuting_family_skips_the_commuting_ranges(self, rng, monkeypatch):
+        # A, A' and C on one basis, B on another, in three orders.
+        a, a2, c = shared_basis(rng, 6, [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1, 0, 1),
+                                         (0, 0, 0, 1, 1, 2)])
+        b = degenerate_observable(rng, 6, "B", (0, 0, 0, 1, 1, 1))
+        for obs in ([a, a2, b, c], [a, a2, c, b], [a, b, a2, c]):
+            self.check_kernel(monkeypatch, obs)
+
+    def test_neighbours_commute_but_not_the_ends(self, rng, monkeypatch):
+        # D commutes with A and with E, which do not commute with each other.
+        u = random_unitary(rng, 4)
+        d, a, e = shared_basis(rng, 4, [(0, 0, 1, 1)], u) + [
+            observable(name, u @ np.kron(np.eye(2), m) @ u.conj().T)
+            for name, m in (("A", PAULI_Z), ("E", PAULI_X))]
+        for obs in ([a, d, e], [a, d, a, d]):
+            self.check_kernel(monkeypatch, obs)
+
+    def test_near_commuting_families_take_no_root(self, rng, monkeypatch):
+        # B turned off the basis of A and C by commutators 1e-15 to 1e-8:
+        # the kernel matches the reference at each, and the tuple path
+        # certifies the two nearest families, which take one eigensolve of
+        # their tuple observable and no root.
+        basis = random_unitary(rng, 4)
+        probe = projector_commutator(turned_family(np.random.default_rng(7), basis, 1e-6))
+        for target in (1e-15, 1e-13, 1e-11, 1e-8):
+            obs = turned_family(np.random.default_rng(7), basis, 1e-6 * target / probe)
+            assert 0.5 * target < projector_commutator(obs) < 2 * target
+            self.check_kernel(monkeypatch, obs)
+            if target > 1e-12:
+                assert collapse_product._tuple_table(obs) is None
+                continue
+            for tree in enumerate_bracketings(3):
+                for flags in FLAG_PATTERNS:
+                    mixed = with_reverse_nodes(tree, iter(flags))
+                    table = tuple_path_table(monkeypatch, obs, mixed)
+                    assert np.abs(table.flat_effects() - reference_tree(obs, mixed)).max() < 1e-12
 
 
 class TestTupleTable:
