@@ -4,11 +4,10 @@ Randomness comes from the counter-based Philox generator keyed by the chain
 seed; run r owns the r-th row of the counter space, so runs are independent
 substreams that can be evaluated in any order with byte-identical results.
 `_uniforms_at` reads any stretch of that stream: the step sampler reads
-its (runs, n) uniforms from position 0, and a block of the table sampler
-reads its own, so the table sampler runs independent blocks in lanes on up
-to one thread per usable CPU, each lane on one bit generator, and the
-draws do not depend on how many threads there are.  `write_records` writes
-sampled outcomes as text, one line `run_id<TAB>i1,...,in` per run.
+its (runs, n) uniforms from position 0, and the table sampler keys one bit
+generator per call and draws its blocks in order, each block reading its
+own stretch.  `write_records` writes sampled outcomes as text, one line
+`run_id<TAB>i1,...,in` per run.
 
 Two mechanisms are provided: step-by-step sampling with a collapse of the
 state after every outcome (the left-fold convention, constant memory in the
@@ -69,8 +68,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,17 +115,13 @@ CONVENTIONS = tuple(FOLD_TREES)
 # Runs per block of the table sampler, and cells per block of the step
 # sampler's draws and of the record writer (run ids and outcomes).  A block
 # of the table sampler draws its own uniforms from its position in the
-# seed's stream, and independent blocks run in lanes on `_workers` threads
-# (`_each_block`).  Each block's temporaries take a few hundred kB, so a
-# call's working memory beyond its uniforms and outcomes is a few hundred
-# kB per thread, whatever the run count or the chain length.  The table
-# sampler's guide table has at least min(runs, _BLOCK) buckets, at most
-# 256 kB more than one bucket per drawable entry.
+# seed's stream, and a call draws its blocks in order on one generator.
+# Each block's temporaries take a few hundred kB, so a call's working
+# memory beyond its uniforms and outcomes is a few hundred kB, whatever the
+# run count or the chain length.  The table sampler's guide table has at
+# least min(runs, _BLOCK) buckets, at most 256 kB more than one bucket per
+# drawable entry.
 _BLOCK = 2**15
-# Blocks per thread at the least.  Starting a thread and waking it on
-# another CPU took about 0.3 ms on a 2-CPU machine, as long as one to three
-# blocks, so a second thread pays for itself from about 8 blocks each.
-_BLOCKS_PER_THREAD = 8
 
 
 @dataclass(frozen=True)
@@ -181,8 +174,7 @@ def write_records(outcomes: np.ndarray, stream) -> None:
     The lines are assembled as ASCII bytes in blocks of at most _BLOCK
     cells (a run id or an outcome), also cut where the run ids gain a
     digit, one `stream.write` per block, so the text held at once is one
-    block.  The blocks are built in the caller's thread: one takes about
-    0.1 ms, too short for a second thread to pay for its hand-offs."""
+    block."""
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 2 or outcomes.shape[1] < 1 or outcomes.dtype.kind not in "iu":
         raise ValueError("outcomes must be a (runs, n) integer array with n >= 1")
@@ -269,35 +261,6 @@ def _index_type(largest: int) -> np.dtype:
     int16).  Widen (`astype(np.int64)`) before arithmetic whose result can
     pass the type."""
     return np.min_scalar_type(-1 - largest)
-
-
-def _workers(blocks: int) -> int:
-    """The threads that `blocks` independent blocks run on: one per
-    _BLOCKS_PER_THREAD blocks, at most one per usable CPU (the affinity
-    mask where the platform has one), and at least one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks // _BLOCKS_PER_THREAD))
-
-
-def _each_block(work, starts: range, workers: int) -> None:
-    """work(lane) for each of `workers` lanes of the independent blocks
-    that start at `starts`: lane k holds every workers-th start from the
-    k-th, in order.  Lane 0 runs in the caller's thread and each other lane
-    in a helper that starts here and is joined before it returns.  An
-    exception a lane raises is raised to the caller once every thread has
-    stopped."""
-    lanes = [starts[k::workers] for k in range(workers)]
-    if workers == 1:
-        work(lanes[0])
-        return
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(work, lane) for lane in lanes[1:]]
-        work(lanes[0])
-    for helper in helpers:
-        helper.result()
 
 
 def sample_chain_leftfold(spec: ChainSpec, rho0: AlgebraicState, runs: int,
@@ -585,10 +548,9 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
     as the binary search.  Each run's tuple is then gathered whole from a
     table of the K drawable tuples in the outcomes' type, so the table is
     never larger than the outcomes.  Each block draws its own uniforms from
-    its position in the seed's stream.  The blocks run in lanes on
-    `_workers` threads (`_each_block`), and each lane keys one bit
-    generator and advances it from block to block; no uniform array spans
-    the runs.
+    its position in the seed's stream: the call keys one bit generator and
+    advances it from block to block, drawing the blocks in order, so no
+    uniform array spans the runs.
 
     `seed` is an integer in [0, 2**64) and `runs` one of at least 1, not
     bools; either refused raises ValueError naming it.  Returns outcome
@@ -631,16 +593,11 @@ def sample_distribution(dist: JointDistribution, seed: int, runs: int) -> np.nda
             return rows.take(search(u), axis=0)
 
     outcomes = np.empty((runs, len(shape)), dtype=index)
-
-    def draw(lane: range) -> None:
-        u, stream = np.empty(min(_BLOCK, runs)), None
-        for lo in lane:
-            block = u[:runs - lo]
-            stream = _uniforms_at(seed, lo, block, stream)
-            outcomes[lo:lo + len(block)] = pick(block)
-
-    blocks = range(0, runs, _BLOCK)
-    _each_block(draw, blocks, _workers(len(blocks)))
+    u, stream = np.empty(min(_BLOCK, runs)), None
+    for lo in range(0, runs, _BLOCK):
+        block = u[:runs - lo]
+        stream = _uniforms_at(seed, lo, block, stream)
+        outcomes[lo:lo + len(block)] = pick(block)
     return outcomes
 
 

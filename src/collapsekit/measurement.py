@@ -140,9 +140,6 @@ class VectorState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def to_state(self) -> AlgebraicState:
-        return AlgebraicState.pure(self.amplitudes, self.tol)
-
 
 @dataclass(frozen=True)
 class PVM:
@@ -197,7 +194,7 @@ def clamp_probabilities(raw: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarra
     p = np.clip(raw, 0.0, None)
     total = p.sum()
     if abs(total - 1.0) > tol.num:
-        raise ValueError(f"probabilities sum to {total!r}")
+        raise ValueError(f"probabilities sum to {float(total)!r}")
     return p / total
 
 
@@ -290,7 +287,7 @@ def discretize_observable(
         raise ValueError("thresholds must be strictly increasing")
     for t in thr:
         if np.any(np.abs(a.sample_space - t) <= tol.num):
-            raise ValueError(f"threshold {t!r} coincides with an eigenvalue")
+            raise ValueError(f"threshold {float(t)!r} coincides with an eigenvalue")
     bins = np.searchsorted(thr, a.sample_space, side="left")
     values = np.unique(bins)
     mask = (bins == values[:, None])[:, :, None, None]

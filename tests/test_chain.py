@@ -2,7 +2,6 @@ import io
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -352,10 +351,8 @@ EDGE_CASES = {
 def count_guide_tables(monkeypatch, tables=None) -> list:
     """Record [K, calls] for each guide table `sample_distribution` builds,
     and append the table itself, with its bucket count and bisection
-    width, to `tables` when given.  Blocks call the table from several
-    threads, so each count is taken under a lock."""
+    width, to `tables` when given."""
     built = []
-    lock = threading.Lock()
 
     class Counting(chain._GuideTable):
         def __init__(self, values, buckets=None):
@@ -365,8 +362,7 @@ def count_guide_tables(monkeypatch, tables=None) -> list:
                 tables.append(self)
 
         def __call__(self, u):
-            with lock:
-                built[-1][1] += 1
+            built[-1][1] += 1
             return super().__call__(u)
 
     monkeypatch.setattr(chain, "_GuideTable", Counting)
@@ -383,8 +379,10 @@ def feed_uniforms(monkeypatch, u: np.ndarray) -> None:
 
 
 class TestSampleDistribution:
+    # (64, 64, 32) has more entries than runs, so its draws take a binary
+    # search, across blocks from BLOCK + 1 runs on.
     @pytest.mark.parametrize("shape", [(1,), (2,), (5,), (17,), (2, 2, 2), (1, 3, 1),
-                                       (4, 2, 3, 4), (7, 9, 5), (3, 1, 16, 2)])
+                                       (4, 2, 3, 4), (7, 9, 5), (3, 1, 16, 2), (64, 64, 32)])
     @pytest.mark.parametrize("runs", [1, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_equals_the_flat_binary_search(self, shape, runs):
         dist = table(plateaus(shape, sum(shape)))
@@ -542,18 +540,6 @@ class TestSampleDistribution:
             sample_distribution(unscaled(probabilities), 3, runs)
 
 
-def draws_by_thread_count(monkeypatch, draw) -> list:
-    """draw() with the worker count forced to 1, left at the default, and
-    forced to 3 (more threads than blocks or CPUs where that holds)."""
-    outputs = []
-    for workers in (1, None, 3):
-        with monkeypatch.context() as patch:
-            if workers is not None:
-                patch.setattr(chain, "_workers", lambda blocks, w=workers: min(w, max(1, blocks)))
-            outputs.append(draw())
-    return outputs
-
-
 class TestBlocksAndThreads:
     @pytest.mark.parametrize("seed", [0, 23, 2**64 - 1])
     @pytest.mark.parametrize("start", [*range(8), BLOCK - 3, BLOCK, 3 * BLOCK + 5])
@@ -564,21 +550,9 @@ class TestBlocksAndThreads:
         chain._uniforms_at(seed, start, out)
         np.testing.assert_array_equal(out, stream[start:])
 
-    # A guide table at every run count, and a binary search at every one.
-    @pytest.mark.parametrize("shape", [(3, 4), (64, 64, 32)])
-    @pytest.mark.parametrize("runs", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-    def test_table_draws_do_not_depend_on_the_threads(self, shape, runs, monkeypatch):
-        dist = table(plateaus(shape, 2))
-        drawn = draws_by_thread_count(monkeypatch, lambda: sample_distribution(dist, 41, runs))
-        for other in drawn:
-            assert other.tobytes() == drawn[0].tobytes()
-        np.testing.assert_array_equal(
-            drawn[0], reference_draws(dist, philox_uniforms(41, runs, 1)[:, 0]))
-
     # 3 * BLOCK + 5 runs: four blocks, the last partial and not a multiple
-    # of 4 runs.  With 2 workers lane 0 advances past block 1 to block 2;
-    # with 3, past blocks 1 and 2 to block 3.  A guide table for (3, 4),
-    # a binary search for (64, 64, 32).
+    # of 4 runs, drawn on one generator advanced from block to block.  A
+    # guide table for (3, 4), a binary search for (64, 64, 32).
     @pytest.mark.parametrize("shape", [(3, 4), (64, 64, 32)])
     @pytest.mark.parametrize("fed", [False, True])
     def test_each_lane_keys_one_generator(self, shape, fed, monkeypatch):
@@ -596,20 +570,15 @@ class TestBlocksAndThreads:
             keyed.append(1)
             return philox(*args, **kwargs)
 
-        for workers in (1, 2, 3):
-            keyed.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(chain, "_workers", lambda blocks, w=workers: w)
-                patch.setattr(np.random, "Philox", counting)
-                drawn = sample_distribution(dist, 41, runs)
-            assert drawn.tobytes() == reference_draws(dist, u).astype(drawn.dtype).tobytes()
-            assert len(keyed) == (0 if fed else workers)
+        monkeypatch.setattr(np.random, "Philox", counting)
+        drawn = sample_distribution(dist, 41, runs)
+        assert drawn.tobytes() == reference_draws(dist, u).astype(drawn.dtype).tobytes()
+        assert len(keyed) == (0 if fed else 1)
 
     def test_guide_adds_at_most_a_block_of_buckets(self, monkeypatch):
         # K = 276 < BLOCK: the guide's min(runs, BLOCK) buckets take at
         # most 8 (BLOCK + 2) bytes more than 276 of them.
         dist = unscaled(EDGE_CASES["c3_like"])
-        monkeypatch.setattr(chain, "_workers", lambda blocks: 1)
 
         def peak() -> int:
             tracemalloc.start()
@@ -627,40 +596,6 @@ class TestBlocksAndThreads:
 
         monkeypatch.setattr(chain, "_GuideTable", OnePerEntry)
         assert wide - peak() <= 8 * (BLOCK + 2)
-
-    # With 3 workers, block 0 is the caller's and block 5 a helper's.
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("bad", [0, 5])
-    def test_an_exception_in_a_block_reaches_the_caller(self, workers, bad):
-        def work(lane):
-            for lo in lane:
-                if lo == bad:
-                    raise ZeroDivisionError(f"block {bad}")
-
-        before = threading.active_count()
-        with pytest.raises(ZeroDivisionError, match=f"block {bad}"):
-            chain._each_block(work, range(64), workers)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_every_block_runs_once(self, workers):
-        ran = []
-        chain._each_block(ran.extend, range(0, 6001, 3), workers)
-        assert sorted(ran) == list(range(0, 6001, 3))
-
-    @pytest.mark.parametrize("blocks, cpus, workers", [
-        (0, 2, 1), (7, 2, 1), (15, 2, 1), (16, 2, 2), (31, 2, 2), (31, 4, 3), (1000, 1, 1)])
-    def test_one_thread_per_eight_blocks_up_to_one_per_cpu(self, blocks, cpus, workers,
-                                                           monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert chain._workers(blocks) == workers
-
-    def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(chain, "_workers", lambda blocks: min(3, max(1, blocks)))
-        before = threading.active_count()
-        dist = table(plateaus((4, 5), 1))
-        sample_distribution(dist, 1, 3 * BLOCK)
-        assert threading.active_count() == before
 
     def test_no_thread_at_import(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(chain.__file__)))
@@ -759,8 +694,8 @@ class TestOutcomeType:
         assert_same_draws(outcomes, reference, margin)
 
     def test_table_sampler_memory(self):
-        # The chain workload's c3 shape at 2**20 runs: 32 blocks, so at most
-        # four threads, each with under 1 MiB of temporaries.
+        # The chain workload's c3 shape at 2**20 runs: 32 blocks drawn in
+        # order, with under 1 MiB of temporaries.
         dist = unscaled(EDGE_CASES["c3_like"])
         tracemalloc.start()
         try:

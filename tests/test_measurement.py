@@ -206,7 +206,7 @@ class TestDiscretize:
         assert len(ranks) == 2
 
     def test_threshold_on_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^threshold 1\.0 coincides"):
             discretize_observable(Z, [1.0])
 
 
@@ -256,7 +256,8 @@ class TestClampProbabilities:
     def test_rejects_negative_and_unnormalised(self):
         with pytest.raises(ValueError, match="below"):
             clamp_probabilities(np.array([1.1, -0.1]), DEFAULT)
-        with pytest.raises(ValueError, match="sum to"):
+        # The sum prints as a Python float, not as numpy's repr.
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0\.9$"):
             clamp_probabilities(np.array([0.5, 0.4]), DEFAULT)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
