@@ -35,16 +35,17 @@ step-by-step law equals the left-fold effect table.  Conjugating with the raw
 projector at every step instead would reproduce the right-fold table
 (P_1 ... P_n ... P_1), not the left fold.
 
-After the first outcome the accumulated root is a multiple of its projector
-P, and every later root sqrt(S P' S) has its range inside range(S).  So the
-step sampler carries each root, state and projector in an orthonormal basis
-of range(P): r x r matrices for a rank-r first outcome instead of d x d.
-The prefix recursion works in the frames the observable's
-`SpectralDecomposition` keeps, the same frames the effect tables use, and
-reads r from its `ranks`.  When P has rank one the root is a constant,
-|v><v|: the later measurements then act as commuting (QND) operators, and
-every later step draws from <v|P'|v> alone.  The same holds after any later
-outcome whose projector has rank one.
+After the first outcome the accumulated root is its projector P, as a leaf
+is its own root in the effect tables, and every later root sqrt(S P' S) has
+its range inside range(S).  So the step sampler carries each root, state
+and projector in an orthonormal basis of range(P): r x r matrices for a
+rank-r first outcome instead of d x d, in the frames F the observable's
+`SpectralDecomposition` keeps, the same frames the effect tables use, with
+r from its `ranks`.  A later projector P' enters F through the overlaps
+T = F^H B' with its own frame B', as T T^H = F^H P' F.  When P has rank
+one the root is a constant, |v><v|: the later measurements then act as
+commuting (QND) operators, and every later step draws from <v|P'|v> alone.
+The same holds after any later outcome whose projector has rank one.
 
 Otherwise the root depends on the run only through its outcome prefix, so
 the step sampler keeps one root per distinct prefix: the cost of a step
@@ -94,7 +95,6 @@ from .operator_core import (
     DimensionMismatchError,
     SpectralDecomposition,
     batched_psd_sqrt,
-    psd_sqrt_spectra,
 )
 
 __all__ = [
@@ -359,31 +359,29 @@ def _regroup(group, idx, branches, n_outcomes):
     return (np.cumsum(seen) - 1)[keys], parent, last
 
 
-def _frames(first: SpectralDecomposition, heads: np.ndarray, density: np.ndarray,
-            tol: Tolerances):
+def _frames(first: SpectralDecomposition, heads: np.ndarray, density: np.ndarray):
     """The frame of each first outcome in `heads` (outcome indices of the
     decomposition `first`), and what starts there.
 
     The roots of the prefixes that begin with outcome P stay inside the range
     of P, which its frame in `first.frames` spans, cut to the largest rank in
     `heads`.  Returns the (h, d, w) frames, the state in each frame, the
-    (h, w, w) roots sqrt(P / Tr P) in their frames, and whether each root
-    has rank above one; a root of rank one stays |u><u| for ever, so its
-    prefix stops branching."""
+    (h, w, w) start roots P, I_r then zero padding in their frames (a
+    leaf's own root, so no cut), and whether each root has rank above one;
+    a root of rank one stays |u><u| for ever, so its prefix stops branching."""
     rank = first.ranks[heads]
     width = int(rank.max())
     frames = first.frames[heads, :, :width]
     states = frames.conj().swapaxes(1, 2) @ density @ frames
-    # P / Tr P in its frame is diagonal, I_r / r then zero padding, and so
-    # is its root.
-    diagonal = np.where(np.arange(width) < rank[:, None], 1.0 / rank[:, None], 0.0)
-    roots = np.eye(width, dtype=np.complex128) * psd_sqrt_spectra(diagonal, tol)[:, None]
+    roots = (np.arange(width) < rank[:, None])[:, None] * np.eye(width, dtype=complex)
     return frames, states, roots, rank > 1
 
 
-def _in_frames(frames: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """A projector stack (n, d, d) in every frame (h, d, w): (h, n, w, w)."""
-    return frames.conj().swapaxes(1, 2)[:, None] @ stack @ frames[:, None]
+def _in_frames(frames: np.ndarray, step: SpectralDecomposition) -> np.ndarray:
+    """The projectors P_j of `step` in every frame F (h, d, w): (h, m, w, w),
+    T T^H for the overlaps T = F^H B_j with the frames B_j of `step`."""
+    overlaps = frames.conj().swapaxes(1, 2)[:, None] @ step.frames
+    return overlaps @ overlaps.conj().swapaxes(-1, -2)
 
 
 def _next_roots(roots: np.ndarray, projs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -433,12 +431,12 @@ def _leftfold_draws(cycle: list, density: np.ndarray, uniforms: np.ndarray,
         return outcomes
     # One group, and one frame, per first outcome drawn.
     group, _, drawn = _regroup(group, outcomes[:, 0], np.ones(1, dtype=bool), len(first.ranks))
-    frames, states, roots, branches = _frames(first, drawn, density, tol)
+    frames, states, roots, branches = _frames(first, drawn, density)
     home = np.arange(len(drawn))             # group -> its first outcome's frame
     k = 1
     while k < n and branches.any():
         step = cycle[k % c]
-        projs = _in_frames(frames, step.projectors)
+        projs = _in_frames(frames, step)
         _count(_cdf(roots, states[home], projs[home], tol), group,
                uniforms[:, k:k + 1], outcomes[:, k:k + 1])
         if k + 1 < n:
@@ -448,7 +446,7 @@ def _leftfold_draws(cycle: list, density: np.ndarray, uniforms: np.ndarray,
         k += 1
     # No root branches from step k on.
     for s in range(k, min(k + c, n)):
-        projs = _in_frames(frames, cycle[s % c].projectors)
+        projs = _in_frames(frames, cycle[s % c])
         _count(_cdf(roots, states[home], projs[home], tol), group,
                uniforms[:, s::c], outcomes[:, s::c])
     return outcomes
@@ -459,23 +457,24 @@ def _leftfold_law(steps: list, density: np.ndarray, tol: Tolerances) -> np.ndarr
     order: the step sampler's recursion run over every prefix instead of
     the drawn ones, with the same frames and the same root updates.
 
-    Each prefix of length 1 .. n-1 carries its root S at unit trace and its
-    effect's trace t, a product of the shares Tr[S P S] of its outcomes; a
-    tuple's probability is t Tr[S rho S P] of its last outcome, so no mass
-    is divided by.  A share or last probability that `_cut` drops, as the
-    root update drops its outcome, is an exact zero rather than rounding
-    residue.  Prefixes sit in C order in groups, as in the sampler;
-    group g has the root roots[g] in frame home[g].  While some root
-    branches, every prefix is its own group and every outcome extends it;
-    after that, each group serves the block of its m descendants."""
+    Each prefix of length 1 .. n-1 carries its root S and a mass t, with
+    t S S its effect: its projector and t = 1 after one outcome, then S at
+    unit trace and t the product of the shares Tr[S P S] of the later
+    outcomes.  A tuple's probability is t Tr[S rho S P] of its last outcome,
+    so no mass is divided by.  A share or last probability that `_cut`
+    drops, as the root update drops its outcome, is an exact zero rather
+    than rounding residue.  Prefixes sit in C order in groups, as in the
+    sampler; group g has the root roots[g] in frame home[g].  While some
+    root branches, every prefix is its own group and every outcome extends
+    it; after that, each group serves the block of its m descendants."""
     first = steps[0]
     if len(steps) == 1:
         return np.einsum("ab,jba->j", density, first.projectors).real
     home = np.arange(len(first.ranks))
-    frames, states, roots, branches = _frames(first, home, density, tol)
-    mass = first.ranks[:, None]             # (groups, m): Tr P, the rank
+    frames, states, roots, branches = _frames(first, home, density)
+    mass = np.ones((len(home), 1))          # (groups, m)
     for step in steps[1:-1]:
-        projs = _in_frames(frames, step.projectors)
+        projs = _in_frames(frames, step)
         share = np.einsum("gab,gjba->gj", roots @ roots, projs[home]).real
         share = np.where(_cut(share, roots, tol), share, 0.0)
         mass = mass[..., None] * share[:, None]
@@ -485,7 +484,7 @@ def _leftfold_law(steps: list, density: np.ndarray, tol: Tolerances) -> np.ndarr
                                             projs, step.ranks, tol)
         mass = mass.reshape(len(roots), -1)
     conditional = roots @ states[home] @ roots
-    projs = _in_frames(frames, steps[-1].projectors)
+    projs = _in_frames(frames, steps[-1])
     probs = np.einsum("gab,gjba->gj", conditional, projs[home]).real
     probs = np.where(_cut(probs, roots, tol), probs, 0.0)
     return (mass[..., None] * probs[:, None]).ravel()

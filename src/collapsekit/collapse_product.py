@@ -345,6 +345,8 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 # certifies through 2**12 tuples and is refused from 2**13.  A projector
 # turned off the shared basis by a commutator c measured about 0.9 c, so
 # near-commuting families are refused from commutators of about 4e-12.
+# `commute`, hence `qnd_check`, passes up to tol.num (1e-9 by default):
+# families in between are called QND there and take the kernel here.
 PROJECTOR_SLACK = 2**14 * np.finfo(float).eps
 
 

@@ -147,8 +147,11 @@ def verify_equivalence(model: CommutativeModel, dist: JointDistribution,
 
 
 def qnd_check(observables: list, tol: Tolerances = DEFAULT) -> bool:
-    """True iff every pair of observables commutes (`commute`).  Each matrix
-    is tested against all later ones in one batched product."""
+    """True iff every pair of observables commutes (`commute`, at tol.num
+    relative to scale).  Each matrix is tested against all later ones in one
+    batched product.  The commuting path of `collapse_effect_tree` asks for
+    more, `PROJECTOR_SLACK`: projector commutators from about 4e-12 to
+    tol.num pass here and take the kernel there, which holds for any family."""
     mats = [as_matrix(o.matrix() if isinstance(o, Observable) else o) for o in observables]
     if len({m.shape for m in mats}) > 1:
         raise DimensionMismatchError("observables act on different dimensions")

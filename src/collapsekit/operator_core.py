@@ -8,10 +8,10 @@ so consumers index, slice and contract it without re-stacking or copying.
 One check per operator family, each over the whole stack:
 `require_effects` (POVMs, Q sets, effect tables) and `require_projectors`
 (PVMs, spectral decompositions).  One PSD rule, `require_psd_spectra`, and
-one PSD root, `batched_psd_sqrt` with its cut `psd_sqrt_spectra`, serve the
-whole package; no other module reads tol.psd.  One commutation rule,
-`commute`, on the one batched commutator `commutator_norms`, serves every
-commutation test; no other module computes a commutator.
+one PSD root, `batched_psd_sqrt`, serve the whole package; no other module
+reads tol.psd.  One commutation rule, `commute`, on the one batched
+commutator `commutator_norms`, serves every commutation test; no other
+module computes a commutator.
 
 Everything here is a pure function over immutable numpy arrays; matrices are
 dense complex128 and desk-scale (dim <= 64 by intent, not enforcement).
@@ -38,7 +38,6 @@ __all__ = [
     "require_psd_spectra",
     "spectral_decompose",
     "psd_sqrt",
-    "psd_sqrt_spectra",
     "batched_psd_sqrt",
     "is_psd",
     "commutator_norm",
@@ -249,32 +248,25 @@ def psd_sqrt(q, tol: Tolerances = DEFAULT) -> np.ndarray:
     return batched_psd_sqrt(require_hermitian(q, tol), tol)
 
 
-def psd_sqrt_spectra(vals: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """The square roots of PSD spectra (..., d), in place, past the package's
-    one cut: each spectrum of sum T zeroes its values below clip(tol.psd * T,
-    0, tol.psd).  Eigensolver noise gets no root, yet below unit trace the
-    root is scale-free, sqrt(c X) = sqrt(c) sqrt(X); the clip at 0 spares an
-    all-zero matrix whose trace rounds below zero."""
-    cut = vals.sum(axis=-1, keepdims=True)
-    cut *= tol.psd
-    np.minimum(np.maximum(cut, 0.0, out=cut), tol.psd, out=cut)
-    vals[vals < cut] = 0.0
-    return np.sqrt(vals, out=vals)
-
-
 def batched_psd_sqrt(stack: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """PSD square roots of a stack (..., d, d) of Hermitian matrices: the
     one PSD root of the package.
 
-    Each matrix takes the roots of its eigenvalues by `psd_sqrt_spectra`,
-    whose cut zeroes eigensolver noise.  An eigenvalue below -tol.psd
-    raises.
+    An eigenvalue below -tol.psd raises.  Each matrix of trace T zeroes its
+    eigenvalues below clip(tol.psd * T, 0, tol.psd) before the root:
+    eigensolver noise gets no root, yet below unit trace the root is
+    scale-free, sqrt(c X) = sqrt(c) sqrt(X); the clip at 0 spares an
+    all-zero matrix whose trace rounds below zero.
     """
     herm = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(herm)
     if vals[..., 0].min() < -tol.psd:
         require_psd_spectra(vals, tol)
-    psd_sqrt_spectra(vals, tol)
+    cut = vals.sum(axis=-1, keepdims=True)
+    cut *= tol.psd
+    np.minimum(np.maximum(cut, 0.0, out=cut), tol.psd, out=cut)
+    vals[vals < cut] = 0.0
+    np.sqrt(vals, out=vals)
     adjoint = vecs.conj().swapaxes(-1, -2)
     vecs *= vals[..., None, :]
     return vecs @ adjoint

@@ -36,7 +36,7 @@ from collapsekit.measurement import (
     discretize_observable,
     observable,
 )
-from collapsekit.operator_core import DimensionMismatchError, batched_psd_sqrt
+from collapsekit.operator_core import DimensionMismatchError
 
 from conftest import (
     PAULI_X,
@@ -824,15 +824,25 @@ class TestLongChains:
         assert stats.chi2.sf(chi2, len(exp_cells) - 1) > 1e-3
 
     def test_vanished_mass_raises(self):
-        # A rank-2 outcome leaves a unit-trace effect with eigenvalues 1/2,
-        # all inside a PSD slack of 0.6: the clamped root carries no mass.
+        # The start root is the first outcome's projector, uncut, so two
+        # steps of A draw at a PSD slack of 0.6 and the law is the kernel's.
+        # A third step roots S P S at unit trace: the rank-2 outcome's
+        # eigenvalues 1/2 fall inside the slack, and its prefix carries no
+        # mass.
         a = observable("A", np.diag([1.0, 1.0, 2.0]))
-        spec = ChainSpec([a], 2, seed=5)
         rho = AlgebraicState.maximally_mixed(3)
-        outcomes = sample_chain_leftfold(spec, rho, 100)
+        tol = Tolerances(psd=0.6)
+        spec = ChainSpec([a], 2, seed=5)
+        outcomes = sample_chain_leftfold(spec, rho, 100, tol)
         assert np.all(outcomes == outcomes[:, :1])
+        assert set(np.unique(outcomes)) == {0, 1}
+        law = exact_chain_distribution(spec, rho, tol).probabilities
+        table = collapse_effect_tree(spec.sequence(), spec.tree(), tol)
+        kernel = joint_distribution(table, rho, tol).probabilities
+        np.testing.assert_allclose(law, kernel, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(law.ravel(), [2 / 3, 0, 0, 1 / 3], rtol=0, atol=1e-15)
         with pytest.raises(ZeroProbabilityOutcomeError):
-            sample_chain_leftfold(spec, rho, 100, Tolerances(psd=0.6))
+            sample_chain_leftfold(ChainSpec([a], 3, seed=5), rho, 100, tol)
 
 
 def pair_table(first_obs, later_obs, rho):
@@ -871,30 +881,70 @@ class TestFirstOutcomeRange:
                                 random_density(rng, 8), runs=300)
 
     @pytest.mark.parametrize("psd", [1e-9, 0.3, 0.6, 1.5])
-    def test_starting_roots_without_an_eigensolve(self, rng, psd):
-        # sqrt(P / Tr P) in its frame is diagonal; its closed form matches the
-        # eigensolve root byte for byte, the PSD cut included.
-        tol = Tolerances(psd=psd)
+    def test_starting_roots_without_an_eigensolve(self, rng, monkeypatch, psd):
+        # The sampler starts each first outcome's prefix from its projector,
+        # diag(1_r, 0) in its frame, at any PSD slack: no root and no cut.
+        started = []
+        frames = chain._frames
+
+        def recording(*args):
+            started.append(frames(*args))
+            return started[-1]
+
+        monkeypatch.setattr(chain, "_frames", recording)
         for _ in range(40):
             dim = int(rng.integers(1, 9))
             first = degenerate_observable(rng, dim, "F", rng.integers(0, 3, size=dim))
-            heads = rng.integers(0, first.n_outcomes, size=int(rng.integers(1, 6)))
-            roots = chain._frames(first.decomposition, heads, np.eye(dim) / dim, tol)[2]
+            spec = ChainSpec([first], 2, seed=int(rng.integers(1000)))
+            outcomes = sample_chain_leftfold(spec, AlgebraicState.maximally_mixed(dim), 50,
+                                             Tolerances(psd=psd))
+            heads = np.unique(outcomes[:, 0])
+            basis, _, roots, _ = started.pop()
             rank = first.decomposition.ranks[heads]
             width = int(rank.max())
-            diagonal = np.where(np.arange(width) < rank[:, None], 1.0 / rank[:, None], 0.0)
-            expected = batched_psd_sqrt(np.eye(width, dtype=np.complex128) * diagonal[:, None],
-                                        tol)
-            assert np.array_equal(roots, expected)
+            expected = np.eye(width) * (np.arange(width) < rank[:, None])[:, None]
+            assert roots.dtype == np.complex128 and np.array_equal(roots, expected)
+            np.testing.assert_allclose(basis @ roots @ basis.conj().swapaxes(1, 2),
+                                       first.projectors[heads], rtol=0, atol=1e-13)
 
     def test_vanished_mass_rank_one_first(self):
-        # A rank-one first outcome leaves the unit-trace effect [1] on its
-        # range; a PSD slack above 1 clamps its root to zero, so the prefix
-        # carries no mass.
+        # A rank-one first outcome starts from its projector |v><v|, which no
+        # PSD slack cuts, and every later root stays |v><v|: at a slack of
+        # 1.5 the draws are the default's, and the law is the default's too.
         spec = ChainSpec([Z, X], 3, seed=5)
-        sample_chain_leftfold(spec, MIXED, 100, Tolerances(psd=0.9))
-        with pytest.raises(ZeroProbabilityOutcomeError):
-            sample_chain_leftfold(spec, MIXED, 100, Tolerances(psd=1.5))
+        tol = Tolerances(psd=1.5)
+        outcomes = sample_chain_leftfold(spec, MIXED, 1000, tol)
+        assert np.array_equal(outcomes, sample_chain_leftfold(spec, MIXED, 1000))
+        law = exact_chain_distribution(spec, MIXED, tol).probabilities
+        np.testing.assert_array_equal(law, exact_chain_distribution(spec, MIXED).probabilities)
+        np.testing.assert_allclose(law.ravel(), [0.25, 0, 0.25, 0, 0, 0.25, 0, 0.25],
+                                   rtol=0, atol=1e-15)
+        assert np.all(law[tuple(outcomes.T)] > 0)
+
+    def test_later_projectors_enter_by_frame_overlaps(self, rng):
+        # Only the first draw and the one-step law read a d x d projector
+        # stack, the first observable's; every later projector enters the
+        # frames of the first outcomes through the overlaps of the frames.
+        class Counted:
+            def __init__(self, decomposition):
+                self.ranks, self.frames = decomposition.ranks, decomposition.frames
+                self._projectors, self.reads = decomposition.projectors, 0
+
+            @property
+            def projectors(self):
+                self.reads += 1
+                return self._projectors
+
+        labels = [[0, 0, 1, 2], [0, 1, 1, 2], [0, 0, 1, 1], [0, 1, 2, 3]]
+        observables = [degenerate_observable(rng, 4, f"O{k}", l) for k, l in enumerate(labels)]
+        rho = random_density(rng, 4).density
+        for n in (1, 2, 4):
+            cycle = [Counted(obs.decomposition) for obs in observables[:n]]
+            chain._leftfold_draws(cycle, rho, philox_uniforms(7, 200, n), Tolerances())
+            assert [c.reads for c in cycle] == [1] + [0] * (n - 1)
+            chain._leftfold_law(cycle, rho, Tolerances())
+            assert [c.reads for c in cycle] == [1 + (n == 1)] + [0] * (n - 1)
+
 
     def test_pair_frequencies_past_table_limit(self):
         # n = 60 is far beyond the exact table, but for a non-degenerate

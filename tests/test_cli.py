@@ -15,7 +15,7 @@ from collapsekit.collapse_product import (
 )
 from collapsekit.config import Tolerances
 from collapsekit.io import DocumentError, dump_document, load_document
-from collapsekit.measurement import AlgebraicState, observable
+from collapsekit.measurement import AlgebraicState, VectorState, observable
 
 from conftest import (
     PAULI_Z,
@@ -574,6 +574,13 @@ class TestDocumentRoundTrip:
         out.write_text(dump_document(rho))
         rho2 = load_document(str(out), expect="state")
         assert np.abs(rho.density - rho2.density).max() == 0.0
+
+    def test_vector(self, tmp_path):
+        psi = VectorState(np.array([0.6, 0.8j]))
+        out = tmp_path / "psi.json"
+        out.write_text(dump_document(psi))
+        psi2 = load_document(str(out), expect="vector")
+        assert np.array_equal(psi.amplitudes, psi2.amplitudes)
 
 
 class TestMarginalProblemDocuments:

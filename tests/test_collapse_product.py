@@ -534,6 +534,15 @@ class TestBracketings:
 
 
 class TestCollapseTree:
+    def test_tuples_in_the_order_of_the_flat_effects(self):
+        a_values, z_values = np.array([0.0, 2.0, 5.0]), np.array([1.0, -1.0, 1.0])
+        a3, z3 = observable("A3", np.diag(a_values)), observable("Z3", np.diag(z_values))
+        table = collapse_effect_tree([a3, z3], left_fold_tree(2))
+        assert table.tuples() == [(a, z) for a in (0.0, 2.0, 5.0) for z in (-1.0, 1.0)]
+        diagonal = np.einsum("taa->ta", table.flat_effects()).real
+        for (a, z), d in zip(table.tuples(), diagonal):
+            np.testing.assert_allclose(d, (a_values == a) & (z_values == z), atol=1e-12)
+
     def test_single_observable_is_pvm(self):
         table = collapse_effect_tree([Z], Leaf(0))
         assert np.abs(table.effects[0] - Z.projectors[0]).max() < 1e-12

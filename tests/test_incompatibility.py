@@ -48,6 +48,11 @@ def singlet_setup():
 
 
 class TestRationalLp:
+    def test_no_constraints_feasible(self):
+        result = feasibility_lp([], [])
+        assert (result.violation, result.solution, result.certificate) == (0, [], [])
+        assert result.feasible()
+
     def test_trivially_feasible(self):
         result = feasibility_lp(
             [[Fraction(1), Fraction(1)]], [Fraction(1)]
